@@ -27,9 +27,14 @@ from .classifier import (
     verify_simple_noncompact_decomposition,
 )
 from .errors import NotHermitian, PdclassError, TheoremViolation, UsageError
-from .grading import HodgeGrading, make_grading
+from .grading import HodgeGrading, check_label_count, make_grading
 from .oracle import DEFAULT_RADIUS, check_instance, survey_crosscheck, sweep_instances
-from .rootsys import build_root_system, root_key, verify_triple_sum_reduction
+from .rootsys import (
+    build_root_system,
+    root_key,
+    validate_type_rank,
+    verify_triple_sum_reduction,
+)
 from .structures import enumerate_structures, new_complex_structure, positive_system_of
 
 SCHEMA_VERSION = "1"
@@ -66,6 +71,9 @@ def parse_domain(text: str) -> HodgeGrading:
             raise UsageError(
                 f"domain spec {text!r}: label {i + 1} ({part!r}) is not an integer"
             )
+    # usage errors first: building a large root system takes seconds
+    validate_type_rank(type_label, rank)
+    check_label_count(type_label, rank, labels)
     rs = build_root_system(type_label, rank)
     return make_grading(rs, tuple(labels))
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
+from .cone import _coprime_integers
 from .errors import CompactForm, LabelOutOfRange
 from .rootsys import Root, RootSystem, root_key
 
@@ -59,22 +59,11 @@ def rational_nullspace(rows: Sequence[Sequence[int]], dim: int) -> CenterBasis:
         vec[free] = Fraction(1)
         for row_index, col in enumerate(pivots):
             vec[col] = -matrix[row_index][free]
-        basis.append(_integer_normalized(vec))
+        ints = _coprime_integers(vec)
+        if next(x for x in ints if x) < 0:
+            ints = tuple(-x for x in ints)
+        basis.append(ints)
     return tuple(basis)
-
-
-def _integer_normalized(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    scale = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    first = next((x for x in ints if x != 0), 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +140,14 @@ class HodgeGrading:
         return len(self.compact_center_basis), self.compact_center_basis
 
 
+def check_label_count(type_label: str, rank: int, labels: Sequence[int]) -> None:
+    """One label per simple root; checkable before the root system exists."""
+    if len(labels) != rank:
+        raise LabelOutOfRange(
+            f"expected {rank} labels for {type_label}{rank}, got {len(labels)}"
+        )
+
+
 def make_grading(rs: RootSystem, labels: Sequence[int]) -> HodgeGrading:
     """Validate a label vector and materialize the grading it induces.
 
@@ -160,10 +157,7 @@ def make_grading(rs: RootSystem, labels: Sequence[int]) -> HodgeGrading:
     datum describes a compact form rather than a period domain.
     """
     labels = tuple(labels)
-    if len(labels) != rs.rank:
-        raise LabelOutOfRange(
-            f"expected {rs.rank} labels for {rs.type_label}{rs.rank}, got {len(labels)}"
-        )
+    check_label_count(rs.type_label, rs.rank, labels)
     bad = [c for c in labels if c not in (0, 1, 2)]
     if bad:
         raise LabelOutOfRange(f"labels must lie in {{0,1,2}}, got {bad[0]}")

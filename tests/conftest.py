@@ -3,7 +3,10 @@
 The oracles here deliberately use different algorithms from the package:
 root sets come from reflection closure instead of height recursion, cone
 nontriviality from variable elimination instead of simplex feasibility, and
-structure enumeration from filtering the full sign hypercube.
+structure enumeration from filtering the full sign hypercube.  The one
+deliberate exception is the reference Fraction simplex, which takes the same
+pivots as the package's integer tableau and must reproduce its proof objects
+bit for bit.
 
 This file also collects the acceptance-criterion outcomes and prints one
 PASS/FAIL line per criterion at the end of the run.
@@ -129,6 +132,90 @@ def cone_has_nonzero_point(rows, dim):
         return True
     firsts = [r[0] for r in rows]
     return all(c >= 0 for c in firsts) or all(c <= 0 for c in firsts)
+
+
+def _dot(a, b):
+    return Fraction(sum(x * y for x, y in zip(a, b)))
+
+
+def reference_phase_one(columns, target):
+    """The Fraction Phase-I simplex the package used before its integer
+    tableau, kept verbatim as a test-only reference: same least-index rule,
+    every pivot and every reduced cost in Fractions."""
+    m = len(columns)
+    r = len(target)
+    sigma = [1 if t >= 0 else -1 for t in target]
+    rows = [
+        [Fraction(sigma[i] * columns[j][i]) for j in range(m)]
+        + [Fraction(1 if k == i else 0) for k in range(r)]
+        for i in range(r)
+    ]
+    rhs = [Fraction(abs(t)) for t in target]
+    basis = [m + i for i in range(r)]
+    cost = [Fraction(0)] * m + [Fraction(1)] * r
+    while True:
+        reduced = [
+            cost[j] - sum(cost[basis[i]] * rows[i][j] for i in range(r))
+            for j in range(m + r)
+        ]
+        entering = next((j for j in range(m + r) if reduced[j] < 0), None)
+        if entering is None:
+            break
+        best = None
+        for i in range(r):
+            if rows[i][entering] > 0:
+                ratio = rhs[i] / rows[i][entering]
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        assert best is not None, "phase-I objective is bounded below"
+        leave = best[1]
+        pivot = rows[leave][entering]
+        rows[leave] = [x / pivot for x in rows[leave]]
+        rhs[leave] /= pivot
+        for i in range(r):
+            if i != leave and rows[i][entering] != 0:
+                factor = rows[i][entering]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[leave])]
+                rhs[i] -= factor * rhs[leave]
+        basis[leave] = entering
+    objective = sum(cost[basis[i]] * rhs[i] for i in range(r))
+    if objective == 0:
+        coeffs = [Fraction(0)] * m
+        for i, b in enumerate(basis):
+            if b < m:
+                coeffs[b] = rhs[i]
+        assert all(c >= 0 for c in coeffs)
+        assert all(
+            sum(coeffs[j] * columns[j][i] for j in range(m)) == target[i]
+            for i in range(r)
+        )
+        return True, tuple(coeffs)
+    reduced = [
+        cost[j] - sum(cost[basis[i]] * rows[i][j] for i in range(r))
+        for j in range(m + r)
+    ]
+    y = tuple(sigma[i] * (1 - reduced[m + i]) for i in range(r))
+    assert all(_dot(y, col) <= 0 for col in columns)
+    assert _dot(y, target) > 0
+    return False, y
+
+
+def reference_decide_cone(normals):
+    """(trivial, witness, certificate combinations) from the reference
+    simplex, solving the signed directions +e1, -e1, +e2, ... in order."""
+    columns = [tuple(Fraction(x) for x in n) for n in normals]
+    dim = len(columns[0])
+    combinations = []
+    for i in range(dim):
+        for sign in (1, -1):
+            direction = tuple(sign if j == i else 0 for j in range(dim))
+            feasible, payload = reference_phase_one(columns, direction)
+            if not feasible:
+                return False, _coprime([-y for y in payload]), None
+            combinations.append(payload)
+    return True, None, tuple(combinations)
 
 
 def brute_force_structures(grading):

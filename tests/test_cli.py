@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,10 @@ class TestParsing:
     def test_domain_bad_label_position(self):
         with pytest.raises(UsageError, match="label 2"):
             parse_domain("C2/1,z")
+
+    def test_label_count_checked_against_rank(self):
+        with pytest.raises(UsageError, match="expected 3 labels for C3, got 2"):
+            parse_domain("c3/1,0")
 
     def test_weight_rationals(self):
         assert parse_weight("1/2,-3", 2) == (Fraction(1, 2), Fraction(-3))
@@ -372,6 +377,19 @@ class TestSubprocess:
         )
         assert proc.returncode == 1
         assert "INVALID_TYPE_RANK" in proc.stderr
+
+    def test_label_count_error_before_building(self):
+        # building A120 takes tens of seconds; the label count needs none of it
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdclass", "classify", "A120/1"],
+            capture_output=True,
+            text=True,
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "expected 120 labels for A120, got 1" in proc.stderr
 
     def test_bad_flag_exit_code(self):
         proc = subprocess.run(

@@ -1,13 +1,20 @@
 """Cone feasibility: frozen small systems, oracle agreement, certificates."""
 from __future__ import annotations
 
+import subprocess
 from fractions import Fraction
+from sys import executable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEEP_SYSTEMS, cone_has_nonzero_point, sweep_label_vectors
+from conftest import (
+    SWEEP_SYSTEMS,
+    cone_has_nonzero_point,
+    reference_decide_cone,
+    sweep_label_vectors,
+)
 from pdclass.cone import (
     ConeSystem,
     FarkasCertificate,
@@ -28,6 +35,21 @@ def grading_cone(type_label, rank, labels):
         for b in g.noncompact_positive
     ]
     return make_cone_system(normals)
+
+
+def assert_matches_reference(sys):
+    """Same decision, witness and certificate Fractions as the reference
+    Fraction simplex in conftest, which takes the same pivots."""
+    decision = decide_cone(sys)
+    trivial, witness, combinations = reference_decide_cone(sys.normals)
+    assert decision.trivial == trivial
+    assert decision.witness == witness
+    if trivial:
+        got = decision.certificate.combinations
+        assert got == combinations
+        assert all(type(c) is Fraction for combo in got for c in combo)
+    else:
+        assert decision.certificate is None
 
 
 class TestFrozenSystems:
@@ -171,6 +193,7 @@ class TestEliminationOracleAgreement:
                 assert sys.contains(decision.witness)
             else:
                 assert verify_certificate(sys, decision.certificate)
+            assert_matches_reference(sys)
 
     @given(
         st.integers(min_value=1, max_value=4).flatmap(
@@ -190,3 +213,81 @@ class TestEliminationOracleAgreement:
         if not decision.trivial:
             assert any(decision.witness)
             assert sys.contains(decision.witness)
+
+
+# rank 4 and exceptional gradings, classical and not, for the slow reference
+REFERENCE_SAMPLE = [
+    ("A", 4, (1, 0, 0, 1)),
+    ("A", 4, (0, 1, 1, 0)),
+    ("B", 4, (0, 1, 0, 2)),
+    ("B", 4, (1, 0, 0, 0)),
+    ("C", 4, (1, 1, 1, 1)),
+    ("C", 4, (0, 0, 0, 1)),
+    ("D", 4, (2, 1, 0, 1)),
+    ("D", 4, (1, 0, 0, 0)),
+    ("F", 4, (0, 0, 0, 1)),
+    ("F", 4, (1, 2, 1, 0)),
+    ("E", 6, (1, 0, 0, 0, 0, 0)),
+    ("E", 6, (0, 1, 0, 0, 0, 0)),
+    ("E", 6, (2, 0, 1, 0, 2, 1)),
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1)),
+    ("E", 7, (0, 2, 1, 0, 0, 1, 2)),
+]
+
+_entry = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+class TestReferenceSimplexAgreement:
+    """Beyond the sweep systems above: higher ranks, and rational normals,
+    which take the column-scaling path."""
+
+    @pytest.mark.parametrize("type_label,rank,labels", REFERENCE_SAMPLE)
+    def test_rank_four_and_exceptional_sample(self, type_label, rank, labels):
+        assert_matches_reference(grading_cone(type_label, rank, labels))
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda dim: st.lists(
+                st.one_of(
+                    st.just((0,) * dim), st.tuples(*[_entry for _ in range(dim)])
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_rational_systems(self, normals):
+        assert_matches_reference(make_cone_system(normals))
+
+
+_OPTIMIZED_SCRIPT = """
+import pdclass.cone
+from pdclass.classifier import grading_cone_system
+from pdclass.cli import main, parse_domain
+from pdclass.errors import InternalInconsistency
+
+if __debug__:
+    raise SystemExit("assertions are still enabled")
+if main(["classify", "E6/0,1,0,0,0,0"]) != 0:
+    raise SystemExit("classify failed")
+pdclass.cone.verify_certificate = lambda sys, cert: False
+try:
+    pdclass.cone.decide_cone(grading_cone_system(parse_domain("E6/0,1,0,0,0,0")))
+except InternalInconsistency:
+    raise SystemExit(0)
+raise SystemExit("a rejected certificate left decide_cone")
+"""
+
+
+class TestOptimizedMode:
+    def test_checks_survive_python_O(self):
+        proc = subprocess.run(
+            [executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "classical no\n" in proc.stdout
