@@ -11,13 +11,13 @@ and the simple roots of the new positive system.
 """
 
 import argparse
-import itertools
 from collections import Counter
 
-from pdclass.cli import parse_domain
+from pdclass.cli import DEFAULT_TYPES, parse_domain
 from pdclass.classifier import classify
 from pdclass.errors import TooLarge
-from pdclass.grading import make_grading
+from pdclass.grading import domain_text, make_grading
+from pdclass.oracle import sweep_instances
 from pdclass.rootsys import build_root_system, root_key
 from pdclass.structures import (
     enumerate_structures,
@@ -25,15 +25,6 @@ from pdclass.structures import (
     new_complex_structure,
     positive_system_of,
 )
-
-FAMILY_RANKS = {
-    "A": lambda n: range(1, n + 1),
-    "B": lambda n: range(2, n + 1),
-    "C": lambda n: range(2, n + 1),
-    "D": lambda n: range(4, n + 1),
-    "G": lambda n: [2] if n >= 2 else [],
-    "F": lambda n: [4] if n >= 4 else [],
-}
 
 
 def roots_text(roots) -> str:
@@ -69,29 +60,21 @@ def show_single(domain: str) -> int:
 def sweep(max_rank: int, max_pairs: int) -> int:
     rows = []
     counts = Counter()
-    for family, ranks in FAMILY_RANKS.items():
-        for rank in ranks(max_rank):
-            rs = build_root_system(family, rank)
-            for labels in itertools.product((0, 1, 2), repeat=rank):
-                if 1 not in labels:
-                    continue
-                g = make_grading(rs, labels)
-                if hermitian_splitting(g) is None:
-                    continue
-                report = classify(g)
-                pairs = len(g.tangent_roots)
-                label_text = ",".join(str(c) for c in labels)
-                domain = f"{family}{rank}/{label_text}"
-                try:
-                    structures, truncated = enumerate_structures(
-                        g, max_pairs=max_pairs
-                    )
-                except TooLarge:
-                    rows.append((domain, report.classical, pairs, None))
-                    continue
-                assert not truncated
-                counts[len(structures)] += 1
-                rows.append((domain, report.classical, pairs, len(structures)))
+    for family, rank, labels in sweep_instances(DEFAULT_TYPES.split(","), max_rank):
+        g = make_grading(build_root_system(family, rank), labels)
+        if hermitian_splitting(g) is None:
+            continue
+        report = classify(g)
+        pairs = len(g.tangent_roots)
+        domain = domain_text(family, rank, labels)
+        try:
+            structures, truncated = enumerate_structures(g, max_pairs=max_pairs)
+        except TooLarge:
+            rows.append((domain, report.classical, pairs, None))
+            continue
+        assert not truncated
+        counts[len(structures)] += 1
+        rows.append((domain, report.classical, pairs, len(structures)))
 
     print(f"{'domain':<14} {'classical':>9} {'pairs':>6} {'structures':>11}")
     for domain, classical, pairs, n in rows:

@@ -35,7 +35,7 @@ def parse_args(argv) -> SurveyConfig:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--csv", dest="csv_path", default=None)
     args = parser.parse_args(argv)
-    types = tuple(t.strip().upper() for t in args.types.split(",") if t.strip())
+    types = tuple(args.types.split(","))
     return SurveyConfig(types, args.max_rank, args.radius, args.jobs, args.csv_path)
 
 

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from .cone import ConeDecision, ConeSystem, FarkasCertificate, decide_cone, make_cone_system
 from .errors import InternalInconsistency, PreconditionClassical
-from .grading import HodgeGrading, rational_nullspace
-from .rootsys import Root, root_key
+from .grading import HodgeGrading, domain_text, rational_nullspace
+from .rootsys import Root, root_add, root_key, root_neg
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +36,10 @@ class DomainReport:
     farkas: FarkasCertificate | None
     bracket_generates: bool
     closure_trace: tuple[Root, ...]
-    cycle_chain_connected: bool
 
     @property
     def domain_text(self) -> str:
-        return f"{self.type_label}{self.rank}/" + ",".join(str(c) for c in self.labels)
+        return domain_text(self.type_label, self.rank, self.labels)
 
 
 def grading_cone_system(g: HodgeGrading) -> ConeSystem:
@@ -64,7 +63,7 @@ def is_classical_definitional(
     roots = g.root_system.roots
     for b1 in g.noncompact_positive:
         for b2 in g.noncompact_positive:
-            if tuple(x + y for x, y in zip(b1, b2)) in roots:
+            if root_add(b1, b2) in roots:
                 return False, (b1, b2)
     return True, None
 
@@ -87,7 +86,7 @@ def bracket_generation(g: HodgeGrading) -> tuple[bool, tuple[Root, ...]]:
     """
     rs = g.root_system
     current = set(g.fiber_roots)
-    current.update(tuple(-x for x in b) for b in g.noncompact_positive)
+    current.update(map(root_neg, g.noncompact_positive))
     trace: list[Root] = []
     changed = True
     while changed:
@@ -95,7 +94,7 @@ def bracket_generation(g: HodgeGrading) -> tuple[bool, tuple[Root, ...]]:
         members = sorted(current, key=root_key)
         for i, a in enumerate(members):
             for b in members[i:]:
-                s = tuple(x + y for x, y in zip(a, b))
+                s = root_add(a, b)
                 if s in rs.roots and s not in current:
                     current.add(s)
                     trace.append(s)
@@ -131,7 +130,9 @@ def curvature_signature(
     n_pos = sum(1 for e in eigenvalues if e > 0)
     n_zero = sum(1 for e in eigenvalues if e == 0)
     n_neg = len(eigenvalues) - n_pos - n_zero
-    assert n_neg == sign_violations(g, weight)
+    q = sign_violations(g, weight)
+    if n_neg != q:
+        raise InternalInconsistency(f"{n_neg} negative eigenvalues, {q} sign violations")
     return (n_pos, n_zero, n_neg), eigenvalues
 
 
@@ -152,8 +153,7 @@ def partition_noncompact(
     nc2 = tuple(
         b
         for b in g.noncompact_positive
-        if b not in first
-        and any(tuple(x - y for x, y in zip(b, bp)) in compact for bp in nc1)
+        if b not in first and any(root_add(b, root_neg(bp)) in compact for bp in nc1)
     )
     second = set(nc2)
     nc3 = tuple(
@@ -187,10 +187,7 @@ def verify_simple_noncompact_decomposition(g: HodgeGrading) -> bool:
         if label != 1:
             continue
         simple = g.root_system.simple_roots[i]
-        if not any(
-            tuple(s + b for s, b in zip(simple, beta)) in compact
-            for beta in g.noncompact_positive
-        ):
+        if not any(root_add(simple, beta) in compact for beta in g.noncompact_positive):
             return False
     return True
 
@@ -234,5 +231,4 @@ def classify(g: HodgeGrading) -> DomainReport:
         farkas=decision.certificate,
         bracket_generates=generates,
         closure_trace=trace,
-        cycle_chain_connected=generates,
     )

@@ -21,14 +21,21 @@ from .classifier import (
     DomainReport,
     classify,
     curvature_signature,
+    is_classical_definitional,
     predicts_vanishing,
     sign_violations,
     verify_compact_from_noncompact,
     verify_simple_noncompact_decomposition,
 )
-from .errors import NotHermitian, PdclassError, TheoremViolation, UsageError
-from .grading import HodgeGrading, check_label_count, make_grading
-from .oracle import DEFAULT_RADIUS, check_instance, survey_crosscheck, sweep_instances
+from .errors import PdclassError, TheoremViolation, UsageError
+from .grading import HodgeGrading, check_label_count, domain_text, make_grading
+from .oracle import (
+    DEFAULT_RADIUS,
+    SurveyRow,
+    check_instance,
+    survey_crosscheck,
+    sweep_instances,
+)
 from .rootsys import (
     build_root_system,
     root_key,
@@ -52,7 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_domain(text: str) -> HodgeGrading:
-    """Parse ``<letter><rank>/<c_1>,...,<c_r>`` into a grading."""
+    """Parse ``<letter><rank>/<c_1>,...,<c_r>`` into a grading; the inverse
+    of ``grading.domain_text``."""
     head, sep, tail = text.partition("/")
     if not sep:
         raise UsageError(f"domain spec {text!r}: missing '/' before the labels")
@@ -108,6 +116,10 @@ def _flag_text(value: bool) -> str:
     return "yes" if value else "no"
 
 
+def _domain_json(type_label: str, rank: int, labels) -> dict:
+    return {"type": type_label, "rank": rank, "labels": list(labels)}
+
+
 def classify_payload(report: DomainReport) -> dict:
     witnesses: dict = {}
     if report.witness_nonclassical is not None:
@@ -124,11 +136,7 @@ def classify_payload(report: DomainReport) -> dict:
         }
     return {
         "schema_version": SCHEMA_VERSION,
-        "domain": {
-            "type": report.type_label,
-            "rank": report.rank,
-            "labels": list(report.labels),
-        },
+        "domain": _domain_json(report.type_label, report.rank, report.labels),
         "dims": {
             "dim_D": report.dim_D,
             "dim_KV": report.dim_KV,
@@ -139,7 +147,8 @@ def classify_payload(report: DomainReport) -> dict:
             "classical": report.classical,
             "hermitian_type": bool(report.hermitian_type),
             "bracket_generates": report.bracket_generates,
-            "cycle_chain_connected": report.cycle_chain_connected,
+            # a schema "1" key whose value is the bracket verdict
+            "cycle_chain_connected": report.bracket_generates,
         },
         "witnesses": witnesses,
     }
@@ -155,7 +164,7 @@ def render_classify_text(report: DomainReport) -> str:
         f"m0 {report.m0}",
         "two_rho_nc " + ",".join(str(x) for x in report.two_rho_nc),
         f"bracket_generates {_flag_text(report.bracket_generates)}",
-        f"cycle_chain_connected {_flag_text(report.cycle_chain_connected)}",
+        f"cycle_chain_connected {_flag_text(report.bracket_generates)}",
     ]
     if report.witness_nonclassical is not None:
         b1, b2 = report.witness_nonclassical
@@ -169,40 +178,33 @@ def render_classify_text(report: DomainReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _survey_row_cells(row) -> list[str]:
-    return [
-        row.type_label,
-        str(row.rank),
-        ",".join(str(c) for c in row.labels),
-        "true" if row.classical else "false",
-        "true" if row.hermitian else "false",
-        str(row.m0),
-        str(row.dim_D),
-    ]
-
-
-def render_classify_csv(report: DomainReport) -> str:
+def _rows_csv(rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["type", "rank", "labels", "classical", "hermitian", "m0", "dim_D"])
-    writer.writerow(
-        [
-            report.type_label,
-            str(report.rank),
-            ",".join(str(c) for c in report.labels),
-            "true" if report.classical else "false",
-            "true" if report.hermitian_type else "false",
-            str(report.m0),
-            str(report.dim_D),
-        ]
-    )
+    for row in rows:
+        writer.writerow(
+            [
+                row.type_label,
+                str(row.rank),
+                ",".join(str(c) for c in row.labels),
+                "true" if row.classical else "false",
+                "true" if row.hermitian else "false",
+                str(row.m0),
+                str(row.dim_D),
+            ]
+        )
     return out.getvalue()
+
+
+def render_classify_csv(report: DomainReport) -> str:
+    return _rows_csv([SurveyRow.from_report(report)])
 
 
 def render_survey_text(result) -> str:
     lines = []
     for row in result.rows:
-        domain = f"{row.type_label}{row.rank}/" + ",".join(str(c) for c in row.labels)
+        domain = domain_text(row.type_label, row.rank, row.labels)
         lines.append(
             f"{domain} classical={_flag_text(row.classical)}"
             f" hermitian={_flag_text(row.hermitian)} m0={row.m0} dim_D={row.dim_D}"
@@ -220,12 +222,7 @@ def render_survey_text(result) -> str:
 
 
 def render_survey_csv(result) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["type", "rank", "labels", "classical", "hermitian", "m0", "dim_D"])
-    for row in result.rows:
-        writer.writerow(_survey_row_cells(row))
-    return out.getvalue()
+    return _rows_csv(result.rows)
 
 
 def survey_payload(result) -> dict:
@@ -260,14 +257,10 @@ def survey_payload(result) -> dict:
 
 def curvature_payload(g: HodgeGrading, weight) -> dict:
     signature, eigenvalues = curvature_signature(g, weight)
-    report = classify(g)
+    rs = g.root_system
     return {
         "schema_version": SCHEMA_VERSION,
-        "domain": {
-            "type": report.type_label,
-            "rank": report.rank,
-            "labels": list(report.labels),
-        },
+        "domain": _domain_json(rs.type_label, rs.rank, g.labels),
         "weight": [_fraction_text(x) for x in weight],
         "eigenvalues": [_fraction_text(x) for x in eigenvalues],
         "signature": list(signature),
@@ -279,9 +272,9 @@ def curvature_payload(g: HodgeGrading, weight) -> dict:
 def render_curvature_text(g: HodgeGrading, weight) -> str:
     signature, eigenvalues = curvature_signature(g, weight)
     q = sign_violations(g, weight)
+    rs = g.root_system
     lines = [
-        f"domain {g.root_system.type_label}{g.root_system.rank}/"
-        + ",".join(str(c) for c in g.labels),
+        "domain " + domain_text(rs.type_label, rs.rank, g.labels),
         "weight " + ",".join(_fraction_text(x) for x in weight),
         "eigenvalues " + ",".join(_fraction_text(x) for x in eigenvalues),
         f"signature ({signature[0]},{signature[1]},{signature[2]})",
@@ -294,13 +287,10 @@ def render_curvature_text(g: HodgeGrading, weight) -> str:
 def structures_payload(g: HodgeGrading) -> dict:
     ns = new_complex_structure(g)
     positive, simples = positive_system_of(g, ns.structure)
+    rs = g.root_system
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "domain": {
-            "type": g.root_system.type_label,
-            "rank": g.root_system.rank,
-            "labels": list(g.labels),
-        },
+        "domain": _domain_json(rs.type_label, rs.rank, g.labels),
         "splitting": {
             "center_direction": [
                 _fraction_text(x) for x in ns.splitting.center_direction
@@ -332,16 +322,13 @@ def structures_payload(g: HodgeGrading) -> dict:
 
 def render_structures_text(g: HodgeGrading) -> str:
     payload = structures_payload(g)
+    rs = g.root_system
 
     def root_line(roots):
-        return " ".join("(" + ",".join(str(x) for x in a) + ")" for a in roots)
+        return " ".join(map(_root_text, roots))
 
     lines = [
-        "domain "
-        + payload["domain"]["type"]
-        + str(payload["domain"]["rank"])
-        + "/"
-        + ",".join(str(c) for c in payload["domain"]["labels"]),
+        "domain " + domain_text(rs.type_label, rs.rank, g.labels),
         "center_direction " + ",".join(payload["splitting"]["center_direction"]),
         "plus " + root_line(payload["splitting"]["plus"]),
         "minus " + root_line(payload["splitting"]["minus"]),
@@ -374,9 +361,6 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
     """Run the named property suites over the bounded sweep; any failed check
     flips the exit code to the theorem-violation class."""
     instances = sweep_instances(types, max_rank)
-    gradings = []
-    for type_label, rank, labels in instances:
-        gradings.append(make_grading(build_root_system(type_label, rank), labels))
     lines = []
     failures = 0
 
@@ -401,25 +385,23 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
                 bad.append(f"{type_label}{rank}: {violations[0]}")
         record("triple_sum_reduction", bad, len(systems), "systems")
 
-        bad = []
-        for g in gradings:
-            if not verify_compact_from_noncompact(g):
-                rs = g.root_system
-                bad.append(
-                    f"{rs.type_label}{rs.rank}/" + ",".join(str(c) for c in g.labels)
-                )
+        gradings = [
+            (domain_text(t, r, labels), make_grading(build_root_system(t, r), labels))
+            for t, r, labels in instances
+        ]
+        bad = [domain for domain, g in gradings if not verify_compact_from_noncompact(g)]
         record("compact_from_noncompact", bad, len(gradings), "gradings")
 
-        bad = []
-        applicable = 0
-        for g in gradings:
-            report = classify(g)
-            if report.classical:
-                continue
-            applicable += 1
-            if not verify_simple_noncompact_decomposition(g):
-                bad.append(report.domain_text)
-        record("simple_noncompact_decomposition", bad, applicable, "gradings")
+        # the decomposition statement applies to non-classical gradings only
+        applicable = [
+            (domain, g) for domain, g in gradings if not is_classical_definitional(g)[0]
+        ]
+        bad = [
+            domain
+            for domain, g in applicable
+            if not verify_simple_noncompact_decomposition(g)
+        ]
+        record("simple_noncompact_decomposition", bad, len(applicable), "gradings")
 
     if suite in ("equivalence", "all"):
         bad = []
@@ -427,7 +409,7 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
             try:
                 check_instance(type_label, rank, labels, radius)
             except Exception as exc:  # noqa: BLE001 - collecting, not masking
-                domain = f"{type_label}{rank}/" + ",".join(str(c) for c in labels)
+                domain = domain_text(type_label, rank, labels)
                 bad.append(f"{domain}: {type(exc).__name__}: {exc}")
         record("route_agreement", bad, len(instances), "gradings")
 
@@ -569,7 +551,7 @@ def run(argv=None) -> int:
         _emit(text, args.out)
         return 0
 
-    assert args.subcommand == "verify"
+    # argparse admits one more subcommand: verify
     if fmt != "text":
         raise UsageError("verify reports are text only")
     types = _resolve(args, "types", config, DEFAULT_TYPES).split(",")

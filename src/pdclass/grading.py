@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .cone import _coprime_integers
-from .errors import CompactForm, LabelOutOfRange
-from .rootsys import Root, RootSystem, root_key
+from .errors import CompactForm, InternalInconsistency, LabelOutOfRange
+from .rootsys import Root, RootSystem, root_add, root_key, root_neg
 
 CenterBasis = tuple[tuple[int, ...], ...]
-
-
-def _negate(alpha: Root) -> Root:
-    return tuple(-x for x in alpha)
 
 
 def rational_nullspace(rows: Sequence[Sequence[int]], dim: int) -> CenterBasis:
@@ -92,23 +89,6 @@ class HodgeGrading:
         """Value of the grading element on a coefficient vector (linear)."""
         return sum(c * n for c, n in zip(self.labels, alpha))
 
-    def grading_element(self) -> tuple[int, ...]:
-        """Coordinates of the grading element in the basis dual to the simple
-        roots; by definition these are the labels themselves."""
-        return self.labels
-
-    def is_compact(self, alpha: Root) -> bool:
-        return self.grade_of(alpha) % 2 == 0
-
-    def root_partition(self) -> dict[str, object]:
-        return {
-            "isotropy": self.isotropy_roots,
-            "compact_positive": self.compact_positive,
-            "noncompact_positive": self.noncompact_positive,
-            "fiber": self.fiber_roots,
-            "tangent": self.tangent_roots,
-        }
-
     @property
     def dim_D(self) -> int:
         """Complex dimension of the domain: positive roots of nonzero grade."""
@@ -128,16 +108,17 @@ class HodgeGrading:
     @property
     def two_rho_nc(self) -> tuple[int, ...]:
         """Coefficient vector of the sum of all positive noncompact roots."""
-        out = [0] * self.root_system.rank
-        for beta in self.noncompact_positive:
-            for i, x in enumerate(beta):
-                out[i] += x
-        return tuple(out)
+        return reduce(root_add, self.noncompact_positive, (0,) * self.root_system.rank)
 
     def compact_center(self) -> tuple[int, CenterBasis]:
         """Dimension and basis of {z : alpha(z) = 0 for every compact root},
         in dual-basis coordinates.  Dimension 1 signals Hermitian type."""
         return len(self.compact_center_basis), self.compact_center_basis
+
+
+def domain_text(type_label: str, rank: int, labels: Sequence[int]) -> str:
+    """The spec ``<letter><rank>/<c_1>,...,<c_r>``; ``cli.parse_domain`` reads it."""
+    return f"{type_label}{rank}/" + ",".join(map(str, labels))
 
 
 def check_label_count(type_label: str, rank: int, labels: Sequence[int]) -> None:
@@ -175,8 +156,10 @@ def make_grading(rs: RootSystem, labels: Sequence[int]) -> HodgeGrading:
     fiber = tuple(a for a in compact_positive if a not in isotropy)
     tangent = tuple(a for a in rs.positive_roots if a not in isotropy)
     # some simple root has label 1, so its parity is odd
-    assert noncompact_positive
-    assert isotropy == frozenset(_negate(a) for a in isotropy)
+    if not noncompact_positive:
+        raise InternalInconsistency(f"label 1 present but no noncompact root: {labels}")
+    if isotropy != frozenset(map(root_neg, isotropy)):
+        raise InternalInconsistency(f"isotropy roots not closed under negation: {labels}")
     center = rational_nullspace(sorted(compact_positive, key=root_key), rs.rank)
     return HodgeGrading(
         root_system=rs,

@@ -14,23 +14,12 @@ from typing import Iterable, Sequence
 
 from .classifier import classify, grading_cone_system
 from .cone import ConeSystem, _coprime_integers
-from .errors import InternalInconsistency
-from .grading import make_grading
-from .rootsys import build_root_system, validate_type_rank
+from .errors import InternalInconsistency, InvalidTypeRank
+from .grading import domain_text, make_grading
+from .rootsys import FAMILY_RANKS, build_root_system
 from .structures import new_complex_structure, positive_system_of, validate_structure
 
 DEFAULT_RADIUS = 3
-
-# lowest rank at which each family is defined and not a duplicate of another
-_FAMILY_RANKS = {
-    "A": lambda max_rank: range(1, max_rank + 1),
-    "B": lambda max_rank: range(2, max_rank + 1),
-    "C": lambda max_rank: range(2, max_rank + 1),
-    "D": lambda max_rank: range(4, max_rank + 1),
-    "E": lambda max_rank: [r for r in (6, 7, 8) if r <= max_rank],
-    "F": lambda max_rank: [4] if max_rank >= 4 else [],
-    "G": lambda max_rank: [2] if max_rank >= 2 else [],
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +45,19 @@ class SurveyRow:
     hermitian: bool
     m0: int
     dim_D: int
+
+    @classmethod
+    def from_report(cls, report) -> SurveyRow:
+        """The row of one ``DomainReport``."""
+        return cls(
+            type_label=report.type_label,
+            rank=report.rank,
+            labels=report.labels,
+            classical=report.classical,
+            hermitian=bool(report.hermitian_type),
+            m0=report.m0,
+            dim_D=report.dim_D,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +100,17 @@ def lattice_cone_search(system: ConeSystem, box: SearchBox) -> tuple[int, ...] |
 def sweep_instances(
     types: Iterable[str], max_rank: int
 ) -> list[tuple[str, int, tuple[int, ...]]]:
-    """All (type, rank, labels) triples of the sweep, lexicographically."""
+    """All (type, rank, labels) triples of the sweep, lexicographically.
+
+    Family letters may come in either case and with surrounding blanks; empty
+    entries are dropped and an unknown letter raises ``InvalidTypeRank``.
+    """
     instances = []
-    for type_label in sorted(set(types)):
-        ranks = _FAMILY_RANKS.get(type_label)
-        if ranks is None:
-            validate_type_rank(type_label, 1)
-        for rank in ranks(max_rank):
+    for type_label in sorted({t.strip().upper() for t in types} - {""}):
+        if type_label not in FAMILY_RANKS:
+            raise InvalidTypeRank(f"unknown family {type_label!r}")
+        low, high = FAMILY_RANKS[type_label]
+        for rank in range(low, min(high, max_rank) + 1):
             for labels in product((0, 1, 2), repeat=rank):
                 if 1 in labels:
                     instances.append((type_label, rank, labels))
@@ -148,15 +154,7 @@ def check_instance(
 
     if not report.classical and report.hermitian_type:
         _structures_checks(g)
-    return SurveyRow(
-        type_label=type_label,
-        rank=rank,
-        labels=labels,
-        classical=report.classical,
-        hermitian=bool(report.hermitian_type),
-        m0=report.m0,
-        dim_D=report.dim_D,
-    )
+    return SurveyRow.from_report(report)
 
 
 def survey_crosscheck(
@@ -178,7 +176,7 @@ def survey_crosscheck(
         try:
             return check_instance(type_label, rank, labels, radius), None
         except Exception as exc:  # noqa: BLE001 - failures are data here
-            domain = f"{type_label}{rank}/" + ",".join(str(c) for c in labels)
+            domain = domain_text(type_label, rank, labels)
             return None, (domain, f"{type(exc).__name__}: {exc}")
 
     if jobs > 1:

@@ -13,15 +13,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
+from operator import add, neg
 from typing import Iterable, Sequence
 
-from .errors import InvalidTypeRank
+from .errors import InternalInconsistency, InvalidTypeRank
 
 Root = tuple[int, ...]
 Weight = tuple[Fraction, ...]
 
-SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
+# lowest and highest rank of each family, from the lowest rank at which the
+# family is defined and not a duplicate of another (A1 = B1 = C1, D3 = A3)
+FAMILY_RANKS = {
+    "A": (1, inf),
+    "B": (2, inf),
+    "C": (2, inf),
+    "D": (4, inf),
+    "E": (6, 8),
+    "F": (4, 4),
+    "G": (2, 2),
+}
+
+
+def root_add(a: Sequence[int], b: Sequence[int]) -> Root:
+    """Componentwise sum of two coefficient vectors (a root or not)."""
+    return tuple(map(add, a, b))
+
+
+def root_neg(a: Sequence[int]) -> Root:
+    """Componentwise negation of a coefficient vector."""
+    return tuple(map(neg, a))
 
 
 def root_key(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -45,15 +66,8 @@ def expected_root_count(type_label: str, rank: int) -> int:
 
 
 def validate_type_rank(type_label: str, rank: int) -> None:
-    ok = (
-        (type_label == "A" and rank >= 1)
-        or (type_label in ("B", "C") and rank >= 2)
-        or (type_label == "D" and rank >= 4)
-        or (type_label == "E" and rank in (6, 7, 8))
-        or (type_label == "F" and rank == 4)
-        or (type_label == "G" and rank == 2)
-    )
-    if not ok:
+    low, high = FAMILY_RANKS.get(type_label, (1, 0))  # unknown family: no rank fits
+    if not low <= rank <= high:
         raise InvalidTypeRank(f"no simple root system of type {type_label}{rank}")
 
 
@@ -106,7 +120,8 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 # requirement: d[j] * cartan[i][j] == d[i] * cartan[j][i]
                 d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
                 pending.append(j)
-    assert all(v is not None for v in d), "Cartan matrix not connected"
+    if None in d:
+        raise InternalInconsistency("Cartan matrix not connected")
     scale = 1
     for v in d:
         scale = scale * v.denominator // gcd(scale, v.denominator)
@@ -170,15 +185,12 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         )
 
-    def height(self, alpha: Root) -> int:
-        return sum(alpha)
-
     def is_root(self, vector: Sequence[int]) -> bool:
         return tuple(vector) in self.roots
 
     def root_sum(self, a: Root, b: Root) -> Root | None:
         """Componentwise sum if it is again a root, else None."""
-        s = tuple(x + y for x, y in zip(a, b))
+        s = root_add(a, b)
         return s if s in self.roots else None
 
     def coroot_pairing(self, beta: Root, i: int) -> int:
@@ -205,53 +217,8 @@ class RootSystem:
     def root_set_sum(self, first: Iterable[Root], second: Iterable[Root]) -> frozenset[Root]:
         """All pairwise sums that land back in the root system."""
         second = list(second)
-        out = set()
-        for a in first:
-            for b in second:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in self.roots:
-                    out.add(s)
-        return frozenset(out)
-
-    def root_chain(self, beta: Root) -> tuple[int, ...]:
-        """First (in lexicographic index order) sequence of 1-based simple-root
-        indices whose partial sums climb through roots up to ``beta``.
-
-        Every positive root admits such a chain; the greedy smallest-index
-        choice restricted to prefixes that can still reach ``beta`` yields the
-        lexicographically first one.
-        """
-        if beta not in self.roots or self.height(beta) < 1:
-            raise ValueError(f"{beta} is not a positive root")
-        below = [
-            g
-            for g in self.positive_roots
-            if all(x <= y for x, y in zip(g, beta))
-        ]
-        reach = {beta}
-        for gamma in sorted(below, key=self.height, reverse=True):
-            if gamma in reach:
-                continue
-            for i in range(self.rank):
-                up = list(gamma)
-                up[i] += 1
-                if tuple(up) in reach:
-                    reach.add(gamma)
-                    break
-        chain: list[int] = []
-        current = tuple(0 for _ in range(self.rank))
-        while current != beta:
-            for i in range(self.rank):
-                step = list(current)
-                step[i] += 1
-                cand = tuple(step)
-                if cand in reach:
-                    current = cand
-                    chain.append(i + 1)
-                    break
-            else:
-                raise AssertionError(f"chain search stalled at {current}")
-        return tuple(chain)
+        sums = (root_add(a, b) for a in first for b in second)
+        return frozenset(s for s in sums if s in self.roots)
 
 
 @lru_cache(maxsize=None)
@@ -264,18 +231,15 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     bilinear = tuple(
         tuple(cartan[j][i] * d[i] for j in range(rank)) for i in range(rank)
     )
-    assert all(
-        bilinear[i][j] == bilinear[j][i] for i in range(rank) for j in range(rank)
-    )
+    if any(bilinear[i][j] != bilinear[j][i] for i in range(rank) for j in range(rank)):
+        raise InternalInconsistency(f"{type_label}{rank}: bilinear form not symmetric")
     positives = _generate_positive_roots(cartan)
     count = expected_root_count(type_label, rank)
     if 2 * len(positives) != count:
         raise AssertionError(
             f"{type_label}{rank}: generated {2 * len(positives)} roots, expected {count}"
         )
-    all_roots = frozenset(positives) | frozenset(
-        tuple(-x for x in p) for p in positives
-    )
+    all_roots = frozenset(positives) | frozenset(map(root_neg, positives))
     by_root = {}
     for alpha in all_roots:
         by_root[alpha] = tuple(
@@ -307,27 +271,19 @@ def verify_triple_sum_reduction(
     summand_pairs: list[tuple[Root, Root, Root]] = []
     for beta in roots:
         for gamma in roots:
-            s = tuple(x + y for x, y in zip(beta, gamma))
+            s = root_add(beta, gamma)
             if s in rs.roots:
                 summand_pairs.append((beta, gamma, s))
     adders: dict[Root, list[Root]] = {}
     for delta in rs.roots:
-        adders[delta] = [
-            alpha
-            for alpha in roots
-            if tuple(x + y for x, y in zip(alpha, delta)) in rs.roots
-        ]
+        adders[delta] = [alpha for alpha in roots if root_add(alpha, delta) in rs.roots]
     violations: list[tuple[Root, Root, Root]] = []
     for beta, gamma, delta in summand_pairs:
-        neg_beta = tuple(-x for x in beta)
-        neg_gamma = tuple(-x for x in gamma)
+        degenerate = (root_neg(beta), root_neg(gamma))
         for alpha in adders[delta]:
-            if not include_degenerate and (alpha == neg_beta or alpha == neg_gamma):
+            if not include_degenerate and alpha in degenerate:
                 continue
-            ab = tuple(x + y for x, y in zip(alpha, beta))
-            if ab in rs.roots:
+            if root_add(alpha, beta) in rs.roots or root_add(alpha, gamma) in rs.roots:
                 continue
-            ag = tuple(x + y for x, y in zip(alpha, gamma))
-            if ag not in rs.roots:
-                violations.append((alpha, beta, gamma))
+            violations.append((alpha, beta, gamma))
     return (not violations, tuple(violations))

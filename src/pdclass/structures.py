@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .errors import HermitianAnomaly, NotHermitian, TooLarge, ValidationFailed
 from .grading import HodgeGrading
-from .rootsys import Root, root_key
+from .rootsys import Root, RootSystem, root_add, root_key, root_neg
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +50,17 @@ class NewStructure:
     projection_holomorphic: bool
 
 
-def _negate(alpha: Root) -> Root:
-    return tuple(-x for x in alpha)
+def _sums_outside(
+    rs: RootSystem, first: Iterable[Root], second: Iterable[Root], closed: frozenset[Root]
+) -> Iterator[tuple[Root, Root, Root]]:
+    """Each ``(a, b, a + b)`` with ``a + b`` a root outside ``closed``, for a
+    from ``first`` and b from ``second``, both taken in canonical order."""
+    second = sorted(second, key=root_key)
+    for a in sorted(first, key=root_key):
+        for b in second:
+            t = root_add(a, b)
+            if t in rs.roots and t not in closed:
+                yield a, b, t
 
 
 def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
@@ -80,7 +90,7 @@ def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
     z = tuple(Fraction(x) * scale for x in direction)
     plus = frozenset(b for b, v in values.items() if v * scale == 1)
     minus = frozenset(g.noncompact_roots - plus)
-    if minus != frozenset(_negate(b) for b in plus):
+    if minus != frozenset(map(root_neg, plus)):
         raise HermitianAnomaly("halves are not negatives of each other")
     rs = g.root_system
     if rs.root_set_sum(g.compact_roots, minus) - minus:
@@ -104,30 +114,21 @@ def validate_structure(
     """
     rs = g.root_system
     chosen = frozenset(tuple(a) for a in candidate)
+    negated = frozenset(map(root_neg, chosen))
     violations: list[tuple[str, tuple]] = []
     outside = [a for a in chosen if a not in rs.roots or a in g.isotropy_roots]
     if outside:
         violations.append(("universe", tuple(sorted(outside, key=root_key))))
-    expected = rs.roots - g.isotropy_roots
-    if chosen | frozenset(_negate(a) for a in chosen) != expected or (
-        chosen & frozenset(_negate(a) for a in chosen)
-    ):
+    if chosen | negated != rs.roots - g.isotropy_roots or chosen & negated:
         violations.append(("half_selection", ()))
-    for v in sorted(g.isotropy_roots, key=root_key):
-        for s in sorted(chosen, key=root_key):
-            t = tuple(x + y for x, y in zip(v, s))
-            if t in rs.roots and t not in chosen:
-                violations.append(("isotropy_invariance", (v, s, t)))
-    strong_ok = True
-    weak_ok = True
-    for s1 in sorted(chosen, key=root_key):
-        for s2 in sorted(chosen, key=root_key):
-            t = tuple(x + y for x, y in zip(s1, s2))
-            if t in rs.roots and t not in chosen:
-                strong_ok = False
-                violations.append(("sum_closure", (s1, s2, t)))
-                if t not in g.isotropy_roots:
-                    weak_ok = False
+    violations.extend(
+        ("isotropy_invariance", escape)
+        for escape in _sums_outside(rs, g.isotropy_roots, chosen, chosen)
+    )
+    escapes = list(_sums_outside(rs, chosen, chosen, chosen))
+    violations.extend(("sum_closure", escape) for escape in escapes)
+    strong_ok = not escapes
+    weak_ok = all(t in g.isotropy_roots for _, _, t in escapes)
     others_ok = not any(v[0] in ("half_selection", "isotropy_invariance") for v in violations)
     if others_ok and not outside and weak_ok and not strong_ok:
         raise ValidationFailed(
@@ -143,7 +144,7 @@ def make_structure(g: HodgeGrading, candidate) -> ComplexStructure:
     if not ok:
         raise ValidationFailed(f"invalid structure: {violations[0]}")
     chosen = frozenset(tuple(a) for a in candidate)
-    parabolic = frozenset(_negate(a) for a in chosen) | g.isotropy_roots
+    parabolic = frozenset(map(root_neg, chosen)) | g.isotropy_roots
     return ComplexStructure(grading=g, roots=chosen, parabolic_roots=parabolic)
 
 
@@ -158,11 +159,7 @@ def new_complex_structure(g: HodgeGrading) -> NewStructure:
         raise NotHermitian("the compact part has no center: no splitting exists")
     s = frozenset(g.fiber_roots) | hs.minus_roots
     cs = make_structure(g, s)
-    predicted = (
-        frozenset(_negate(a) for a in g.fiber_roots)
-        | hs.plus_roots
-        | g.isotropy_roots
-    )
+    predicted = frozenset(map(root_neg, g.fiber_roots)) | hs.plus_roots | g.isotropy_roots
     if parabolic_of(g, cs) != predicted:
         raise ValidationFailed("parabolic of the new structure has the wrong shape")
     return NewStructure(
@@ -178,12 +175,9 @@ def parabolic_of(g: HodgeGrading, cs: ComplexStructure) -> frozenset[Root]:
     covering the whole system together with its opposite."""
     rs = g.root_system
     roots = cs.parabolic_roots
-    for p1 in sorted(roots, key=root_key):
-        for p2 in sorted(roots, key=root_key):
-            t = tuple(x + y for x, y in zip(p1, p2))
-            if t in rs.roots and t not in roots:
-                raise ValidationFailed(f"parabolic not closed: {p1} + {p2} = {t}")
-    if roots | frozenset(_negate(a) for a in roots) != rs.roots:
+    for p1, p2, t in _sums_outside(rs, roots, roots, roots):
+        raise ValidationFailed(f"parabolic not closed: {p1} + {p2} = {t}")
+    if roots | frozenset(map(root_neg, roots)) != rs.roots:
         raise ValidationFailed("parabolic union its opposite misses roots")
     return roots
 
@@ -198,22 +192,13 @@ def positive_system_of(
         a for a in rs.positive_roots if a in g.isotropy_roots
     )
     positive = cs.roots | isotropy_positive
-    if positive | frozenset(_negate(a) for a in positive) != rs.roots or (
-        positive & frozenset(_negate(a) for a in positive)
-    ):
+    negated = frozenset(map(root_neg, positive))
+    if positive | negated != rs.roots or positive & negated:
         raise ValidationFailed("structure does not induce a half-system")
-    members = sorted(positive, key=root_key)
-    for p1 in members:
-        for p2 in members:
-            t = tuple(x + y for x, y in zip(p1, p2))
-            if t in rs.roots and t not in positive:
-                raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
-    sums = {
-        tuple(x + y for x, y in zip(p1, p2))
-        for p1 in members
-        for p2 in members
-    }
-    simples = tuple(p for p in members if p not in sums)
+    for p1, p2, _ in _sums_outside(rs, positive, positive, positive):
+        raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
+    sums = rs.root_set_sum(positive, positive)
+    simples = tuple(p for p in sorted(positive, key=root_key) if p not in sums)
     return positive, simples
 
 
@@ -242,7 +227,7 @@ def enumerate_structures(
     index_of: dict[Root, int] = {}
     for i, rep in enumerate(reps):
         index_of[rep] = i
-        index_of[_negate(rep)] = i
+        index_of[root_neg(rep)] = i
     isotropy = sorted(g.isotropy_roots, key=root_key)
     found: list[frozenset[Root]] = []
     truncated = False
@@ -257,13 +242,13 @@ def enumerate_structures(
                 continue
             assignment[i] = root
             for v in isotropy:
-                t = tuple(x + y for x, y in zip(v, root))
+                t = root_add(v, root)
                 if t in rs.roots:
                     queue.append(t)
             for other in list(assignment.values()):
                 if other == root:
                     continue
-                t = tuple(x + y for x, y in zip(other, root))
+                t = root_add(other, root)
                 if t in rs.roots:
                     if t in g.isotropy_roots:
                         return False
@@ -280,11 +265,14 @@ def enumerate_structures(
                 truncated = True
                 return False
             chosen = frozenset(assignment.values())
-            ok, _ = validate_structure(g, chosen)
-            assert ok, "propagation admitted an invalid assignment"
+            ok, violations = validate_structure(g, chosen)
+            if not ok:
+                raise ValidationFailed(
+                    f"propagation admitted an invalid assignment: {violations[0]}"
+                )
             found.append(chosen)
             return True
-        for candidate in (reps[next_index], _negate(reps[next_index])):
+        for candidate in (reps[next_index], root_neg(reps[next_index])):
             branch = dict(assignment)
             if propagate(branch, [candidate]) and not search(branch):
                 return False

@@ -258,7 +258,6 @@ class TestClassify:
         assert report.witness_classical is None
         assert report.farkas is not None
         assert report.bracket_generates
-        assert report.cycle_chain_connected
 
     def test_classical_report(self, a1):
         report = classify(make_grading(a1, (1,)))

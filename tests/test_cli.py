@@ -2,15 +2,23 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pdclass.cli import main, parse_domain, parse_weight
 from pdclass.errors import UsageError
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# stdout recorded before the root-arithmetic and formatter consolidation
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +263,19 @@ class TestSurveyCommand:
         ]
         assert payload["failures"] == []
 
+    @pytest.mark.parametrize("types", ["c", "C,", " c , "])
+    def test_family_letters_normalised(self, capsys, types):
+        expected = run_cli(capsys, "survey", "--types", "C", "--max-rank", "2")
+        assert expected[0] == 0
+        assert run_cli(capsys, "survey", "--types", types, "--max-rank", "2") == expected
+
+    def test_unknown_family_named(self, capsys):
+        code, out, err = run_cli(capsys, "survey", "--types", "X", "--max-rank", "2")
+        assert code == 1
+        assert out == ""
+        assert "INVALID_TYPE_RANK" in err
+        assert "unknown family 'X'" in err
+
     def test_jobs_flag_deterministic(self, capsys):
         _, serial, _ = run_cli(
             capsys, "survey", "--types", "A,C", "--max-rank", "2", "--format", "csv"
@@ -398,3 +419,75 @@ class TestSubprocess:
             text=True,
         )
         assert proc.returncode == 1
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("classify_C2_1_1.txt", ["classify", "C2/1,1"]),
+            ("classify_C2_1_1.json", ["classify", "C2/1,1", "--format", "json"]),
+            ("classify_C2_1_1.csv", ["classify", "C2/1,1", "--format", "csv"]),
+            (
+                "classify_E6_0_1_0_0_0_0.json",
+                ["classify", "E6/0,1,0,0,0,0", "--format", "json"],
+            ),
+            (
+                "curvature_C2_1_1_w_1_2_0.json",
+                ["curvature", "C2/1,1", "--weight", "1/2,0", "--format", "json"],
+            ),
+            ("structures_C2_1_1.txt", ["structures", "C2/1,1"]),
+            ("structures_C2_1_1.json", ["structures", "C2/1,1", "--format", "json"]),
+            ("structures_C4_1_1_1_1.txt", ["structures", "C4/1,1,1,1"]),
+            ("survey_AC_2.txt", ["survey", "--types", "A,C", "--max-rank", "2"]),
+            (
+                "survey_AC_2.csv",
+                ["survey", "--types", "A,C", "--max-rank", "2", "--format", "csv"],
+            ),
+            (
+                "survey_AC_2.json",
+                ["survey", "--types", "A,C", "--max-rank", "2", "--format", "json"],
+            ),
+            ("verify_AC_2.txt", ["verify", "--types", "A,C", "--max-rank", "2"]),
+        ],
+    )
+    def test_stdout_matches_golden(self, capsys, name, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+class TestScripts:
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            (
+                "explore_structures_max_rank_3.txt",
+                ["explore_structures.py", "--max-rank", "3"],
+            ),
+            (
+                "explore_structures_C2_1_1.txt",
+                ["explore_structures.py", "--domain", "C2/1,1"],
+            ),
+            (
+                "run_survey_AC_2.txt",
+                ["run_survey.py", "--types", "A,C", "--max-rank", "2"],
+            ),
+        ],
+    )
+    def test_stdout_matches_golden(self, name, argv):
+        src = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        path = os.pathsep.join(filter(None, src))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+        if argv[0] == "run_survey.py":
+            # the first line reports wall time, which no two runs share
+            timing, _, out = out.partition("\n")
+            assert re.fullmatch(r"11 gradings in \d+\.\ds \(radius 3, jobs 1\)", timing)
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -1,14 +1,17 @@
 """Cone feasibility: frozen small systems, oracle agreement, certificates."""
 from __future__ import annotations
 
+import ast
 import subprocess
 from fractions import Fraction
+from pathlib import Path
 from sys import executable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdclass
 from conftest import (
     SWEEP_SYSTEMS,
     cone_has_nonzero_point,
@@ -264,15 +267,35 @@ class TestReferenceSimplexAgreement:
 
 
 _OPTIMIZED_SCRIPT = """
+import pdclass.classifier
 import pdclass.cone
-from pdclass.classifier import grading_cone_system
+import pdclass.structures
+from pdclass.classifier import curvature_signature, grading_cone_system
 from pdclass.cli import main, parse_domain
-from pdclass.errors import InternalInconsistency
+from pdclass.errors import InternalInconsistency, ValidationFailed
 
 if __debug__:
     raise SystemExit("assertions are still enabled")
-if main(["classify", "E6/0,1,0,0,0,0"]) != 0:
-    raise SystemExit("classify failed")
+for argv in (
+    ["classify", "E6/0,1,0,0,0,0"],
+    ["curvature", "C2/1,1", "--weight", "1,0"],
+    ["structures", "C2/1,1"],
+):
+    if main(argv) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+c2 = parse_domain("C2/1,1")
+pdclass.classifier.sign_violations = lambda g, weight: -1
+try:
+    curvature_signature(c2, (1, 0))
+    raise SystemExit("a wrong violation count left curvature_signature")
+except InternalInconsistency:
+    pass
+pdclass.structures.validate_structure = lambda g, chosen: (False, (("forged", ()),))
+try:
+    pdclass.structures.enumerate_structures(c2)
+    raise SystemExit("a rejected structure left enumerate_structures")
+except ValidationFailed:
+    pass
 pdclass.cone.verify_certificate = lambda sys, cert: False
 try:
     pdclass.cone.decide_cone(grading_cone_system(parse_domain("E6/0,1,0,0,0,0")))
@@ -291,3 +314,16 @@ class TestOptimizedMode:
         )
         assert proc.returncode == 0, proc.stderr
         assert "classical no\n" in proc.stdout
+        assert "signature (1,1,2)\n" in proc.stdout
+        assert "enumeration count 8\n" in proc.stdout
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements, so the package checks by raising
+        package = Path(pdclass.__file__).parent
+        asserts = [
+            f"{path.relative_to(package)}:{node.lineno}"
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert asserts == []

@@ -110,10 +110,6 @@ class TestValidation:
         with pytest.raises(CompactForm):
             make_grading(rs, (0, 2))
 
-    def test_grading_element_is_label_vector(self):
-        for labels in [(1, 1), (2, 1), (0, 1)]:
-            assert grading("C", 2, labels).grading_element() == labels
-
 
 def all_sweep_gradings():
     for type_label, rank in SWEEP_SYSTEMS:

@@ -91,26 +91,6 @@ def test_root_set_sum(c2):
     assert out == frozenset({(1, 1)})
 
 
-def test_root_chain_examples(c2, g2):
-    assert c2.root_chain((2, 1)) == (1, 2, 1)
-    assert g2.root_chain((3, 2)) == (1, 2, 1, 1, 2)
-    assert c2.root_chain((1, 0)) == (1,)
-    with pytest.raises(ValueError):
-        c2.root_chain((-1, 0))
-
-
-def test_root_chain_partial_sums_are_roots():
-    for type_label, rank in [("A", 3), ("B", 3), ("D", 4), ("F", 4), ("G", 2)]:
-        rs = build_root_system(type_label, rank)
-        for beta in rs.positive_roots:
-            chain = rs.root_chain(beta)
-            acc = [0] * rs.rank
-            for idx in chain:
-                acc[idx - 1] += 1
-                assert rs.is_root(acc)
-            assert tuple(acc) == beta
-
-
 def test_root_strings_unbroken():
     # alpha and alpha + 2*beta roots force alpha + beta to be a root
     for type_label, rank in [("C", 2), ("G", 2), ("B", 3), ("F", 4)]:
