@@ -484,6 +484,14 @@ def _resolve(args, key, config, default, convert=str):
     return default
 
 
+def _resolve_radius(args, config) -> int:
+    """The lattice oracle radius, rejected before any sweep is built."""
+    radius = _resolve(args, "radius", config, DEFAULT_RADIUS, int)
+    if radius < 1:
+        raise UsageError(f"radius must be >= 1, got {radius}")
+    return radius
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -516,7 +524,7 @@ def run(argv=None) -> int:
     if args.subcommand == "survey":
         types = _resolve(args, "types", config, DEFAULT_TYPES).split(",")
         max_rank = _resolve(args, "max_rank", config, DEFAULT_MAX_RANK, int)
-        radius = _resolve(args, "radius", config, DEFAULT_RADIUS, int)
+        radius = _resolve_radius(args, config)
         jobs = _resolve(args, "jobs", config, 1, int)
         result = survey_crosscheck(types, max_rank, radius=radius, jobs=jobs)
         if fmt == "json":
@@ -556,7 +564,7 @@ def run(argv=None) -> int:
         raise UsageError("verify reports are text only")
     types = _resolve(args, "types", config, DEFAULT_TYPES).split(",")
     max_rank = _resolve(args, "max_rank", config, DEFAULT_MAX_RANK, int)
-    radius = _resolve(args, "radius", config, DEFAULT_RADIUS, int)
+    radius = _resolve_radius(args, config)
     text, code = run_verify(types, max_rank, radius, args.suite)
     _emit(text, args.out)
     return code

@@ -221,7 +221,10 @@ def decide_cone(sys: ConeSystem) -> ConeDecision:
 
 def verify_certificate(sys: ConeSystem, cert: FarkasCertificate) -> bool:
     """Replay the rational arithmetic: every combination must be nonnegative
-    and sum exactly to its direction, and all 2r directions must be covered."""
+    and sum exactly to its direction, and all 2r directions must be covered.
+
+    The sums run over the nonzero coefficients only; a basic solution has at
+    most r of them out of m."""
     directions = signed_directions(sys.dimension)
     if cert.dimension != sys.dimension or len(cert.combinations) != len(directions):
         return False
@@ -229,8 +232,8 @@ def verify_certificate(sys: ConeSystem, cert: FarkasCertificate) -> bool:
     for direction, coeffs in zip(directions, cert.combinations):
         if len(coeffs) != m or any(c < 0 for c in coeffs):
             return False
+        support = [(c, n) for c, n in zip(coeffs, sys.normals) if c]
         for i in range(sys.dimension):
-            total = sum(coeffs[j] * sys.normals[j][i] for j in range(m))
-            if total != direction[i]:
+            if sum(c * n[i] for c, n in support) != direction[i]:
                 return False
     return True

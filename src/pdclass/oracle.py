@@ -1,9 +1,13 @@
 """Brute-force cross-checks for the main algorithms.
 
-The lattice search is a deliberately dumb one-sided decider: scanning a box
+The lattice search is a deliberately simple one-sided decider: scanning a box
 can find a cone point the simplex route must then agree on, but an empty box
-proves nothing.  The survey runs every grading of the requested types through
-all routes at once and reports disagreements as data instead of crashing.
+proves nothing.  It is a brute-force scan with exact prefix pruning: it skips
+only prefixes that no completion can bring into the cone, so it returns the
+same first point as the full lexicographic scan, in integers and with no code
+of the simplex route.  The survey runs every grading of the requested types
+through all routes at once and reports disagreements as data instead of
+crashing.
 """
 from __future__ import annotations
 
@@ -81,20 +85,46 @@ def lattice_cone_search(system: ConeSystem, box: SearchBox) -> tuple[int, ...] |
     """First nonzero integer point of the box satisfying every inequality, in
     lexicographic scan order; None when the box holds no cone point.
 
-    One-sided: None never proves the cone trivial.
+    One-sided: None never proves the cone trivial.  The scan is depth first:
+    coordinates are fixed in order, each from -radius up to radius, which is
+    the order of ``itertools.product``.  A prefix is dropped as soon as some
+    inequality stays negative even if every remaining coordinate adds the
+    most it can (radius times the absolute coefficient), so every point
+    skipped lies outside the cone and the first point found is the
+    brute-force one.
     """
     if box.dimension != system.dimension:
         raise ValueError(
             f"box dimension {box.dimension} != system dimension {system.dimension}"
         )
     rows = [_coprime_integers(normal) for normal in system.normals]
-    coords = range(-box.radius, box.radius + 1)
-    for point in product(coords, repeat=box.dimension):
-        if not any(point):
-            continue
-        if all(sum(a * x for a, x in zip(row, point)) >= 0 for row in rows):
-            return point
-    return None
+    dim = box.dimension
+    columns = [tuple(row[k] for row in rows) for k in range(dim)]
+    zero = (0,) * len(rows)
+    # reach[k][j]: the largest amount coordinates k, k+1, ... can add to row j
+    reach = [zero]
+    for column in reversed(columns):
+        reach.append(tuple(t + box.radius * abs(a) for t, a in zip(reach[-1], column)))
+    reach.reverse()
+    values = range(-box.radius, box.radius + 1)
+    point = [0] * dim
+
+    def scan(k: int, sums: tuple[int, ...]) -> tuple[int, ...] | None:
+        column, after = columns[k], reach[k + 1]
+        for x in values:
+            point[k] = x
+            partial = tuple(s + a * x for s, a in zip(sums, column))
+            if any(s + t < 0 for s, t in zip(partial, after)):
+                continue
+            if k + 1 < dim:
+                found = scan(k + 1, partial)
+                if found is not None:
+                    return found
+            elif any(point):
+                return tuple(point)
+        return None
+
+    return scan(0, zero)
 
 
 def sweep_instances(

@@ -218,7 +218,9 @@ def enumerate_structures(
 
     Pairs are visited in canonical order, positive representative first.
     Returns the structures in canonical sorted order plus a truncation flag
-    when ``limit`` cut the search short.
+    when ``limit`` cut the search short.  Each structure found is validated
+    once, by :func:`make_structure`, which raises ``ValidationFailed`` on
+    any assignment the propagation should not have admitted.
     """
     rs = g.root_system
     reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
@@ -264,13 +266,7 @@ def enumerate_structures(
             if limit is not None and len(found) >= limit:
                 truncated = True
                 return False
-            chosen = frozenset(assignment.values())
-            ok, violations = validate_structure(g, chosen)
-            if not ok:
-                raise ValidationFailed(
-                    f"propagation admitted an invalid assignment: {violations[0]}"
-                )
-            found.append(chosen)
+            found.append(frozenset(assignment.values()))
             return True
         for candidate in (reps[next_index], root_neg(reps[next_index])):
             branch = dict(assignment)

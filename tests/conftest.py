@@ -248,14 +248,15 @@ def _is_valid_structure(rs, isotropy, chosen):
 
 
 def lattice_points_in_cone(normals, radius, dim):
-    """All integer points in the box satisfying every inequality (slow scan)."""
+    """All nonzero integer points in the box satisfying every inequality, in
+    lexicographic order (slow full scan; each normal is scaled to coprime
+    integers first, which keeps its sign)."""
+    rows = [_coprime(row) for row in normals]
     hits = []
     for point in itertools.product(range(-radius, radius + 1), repeat=dim):
         if all(x == 0 for x in point):
             continue
-        if all(
-            sum(Fraction(a) * x for a, x in zip(row, point)) >= 0 for row in normals
-        ):
+        if all(sum(a * x for a, x in zip(row, point)) >= 0 for row in rows):
             hits.append(point)
     return hits
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import pdclass.cli
+import pdclass.oracle
 from pdclass.cli import main, parse_domain, parse_weight
 from pdclass.errors import UsageError
 
@@ -329,6 +331,32 @@ class TestVerifyCommand:
         assert code == 0
         assert "triple_sum_reduction" not in out
         assert "CHECK route_agreement: ok (6 gradings)\n" in out
+
+
+class TestRadiusBound:
+    @pytest.mark.parametrize("subcommand", ["survey", "verify"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_radius_below_one_rejected_before_the_sweep(
+        self, capsys, monkeypatch, tmp_path, subcommand, source
+    ):
+        def forbidden(*args):
+            raise AssertionError("sweep or root system built before the radius check")
+
+        for module in (pdclass.cli, pdclass.oracle):
+            monkeypatch.setattr(module, "sweep_instances", forbidden)
+            monkeypatch.setattr(module, "build_root_system", forbidden)
+        argv = [subcommand, "--types", "A", "--max-rank", "2"]
+        if source == "flag":
+            argv += ["--radius", "0" if subcommand == "survey" else "-1"]
+        else:
+            config = tmp_path / "pdclass.cfg"
+            config.write_text("oracle_radius = 0\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err.startswith("error[USAGE]: radius must be >= 1")
 
 
 class TestConfig:

@@ -142,6 +142,31 @@ class TestCertificates:
         bad = FarkasCertificate(2, tuple(tuple(c) for c in combos))
         assert not verify_certificate(sys, bad)
 
+    @pytest.mark.parametrize("spec", [("C", 2, (1, 1)), ("E", 6, (0, 1, 0, 0, 0, 0))])
+    def test_nonzero_last_coefficient_rejected(self, spec):
+        # the replay sums over the support; the last normal must be in it
+        sys = grading_cone(*spec)
+        combos = [list(c) for c in decide_cone(sys).certificate.combinations]
+        assert combos[0][-1] == 0 and any(sys.normals[-1])
+        combos[0][-1] = Fraction(1)
+        bad = FarkasCertificate(sys.dimension, tuple(tuple(c) for c in combos))
+        assert not verify_certificate(sys, bad)
+
+    @pytest.mark.parametrize("spec", [("C", 2, (1, 1)), ("E", 6, (0, 1, 0, 0, 0, 0))])
+    def test_balanced_negative_coefficients_rejected(self, spec):
+        # minus the combination for -e1 sums exactly to +e1, with wrong signs
+        sys = grading_cone(*spec)
+        combos = list(decide_cone(sys).certificate.combinations)
+        combos[0] = tuple(-c for c in combos[1])
+        assert any(c < 0 for c in combos[0])
+        recombined = tuple(
+            sum(c * n[i] for c, n in zip(combos[0], sys.normals))
+            for i in range(sys.dimension)
+        )
+        assert recombined == signed_directions(sys.dimension)[0]
+        bad = FarkasCertificate(sys.dimension, tuple(combos))
+        assert not verify_certificate(sys, bad)
+
     def test_wrong_shape_rejected(self):
         sys = grading_cone("C", 2, (1, 1))
         cert = decide_cone(sys).certificate

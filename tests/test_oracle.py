@@ -4,7 +4,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdclass.classifier import classify, grading_cone_system
+from pdclass.classifier import (
+    classify,
+    grading_cone_system,
+    is_classical_definitional,
+)
 from pdclass.cone import decide_cone, make_cone_system
 from pdclass.grading import make_grading
 from pdclass.oracle import (
@@ -16,7 +20,22 @@ from pdclass.oracle import (
 )
 from pdclass.rootsys import build_root_system
 
-from conftest import lattice_points_in_cone, sweep_label_vectors
+from conftest import SWEEP_SYSTEMS, lattice_points_in_cone, sweep_label_vectors
+
+
+def assert_scan_matches_brute_force(system, radius):
+    """The pruned scan returns the full scan's first hit, or None."""
+    hits = lattice_points_in_cone(system.normals, radius, system.dimension)
+    found = lattice_cone_search(system, SearchBox(radius, system.dimension))
+    assert found == (hits[0] if hits else None), (system.normals, radius)
+
+
+def exceptional_sample(rank):
+    """Every E-rank grading with a single label 1 and the rest 0, and every
+    (len // 7)-th one in sweep order."""
+    single = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    swept = [labels for _, r, labels in sweep_instances(["E"], rank) if r == rank]
+    return single + swept[:: len(swept) // 7]
 
 
 class TestSearchBox:
@@ -57,16 +76,35 @@ class TestLatticeSearch:
         point = lattice_cone_search(system, SearchBox(3, 2))
         assert system.contains(point)
 
-    def test_matches_slow_scan(self, c2, g2):
-        for rs in (c2, g2):
-            for labels in sweep_label_vectors(2):
+    def test_matches_slow_scan(self):
+        # every sweep grading at radius 1, 2 and 3
+        for type_label, rank in SWEEP_SYSTEMS:
+            rs = build_root_system(type_label, rank)
+            for labels in sweep_label_vectors(rank):
                 system = grading_cone_system(make_grading(rs, labels))
-                hits = lattice_points_in_cone(system.normals, 2, 2)
-                found = lattice_cone_search(system, SearchBox(2, 2))
-                if hits:
-                    assert found == hits[0]
-                else:
-                    assert found is None
+                for radius in (1, 2, 3):
+                    assert_scan_matches_brute_force(system, radius)
+
+    @pytest.mark.parametrize("rank", [6, 7])
+    def test_matches_slow_scan_on_exceptional_sample(self, rank):
+        rs = build_root_system("E", rank)
+        for labels in exceptional_sample(rank):
+            system = grading_cone_system(make_grading(rs, labels))
+            assert_scan_matches_brute_force(system, 1)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_matches_slow_scan_on_random_rational_systems(self, data):
+        dim = data.draw(st.integers(1, 4))
+        entry = st.one_of(
+            st.integers(-4, 4),
+            st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        )
+        # mixed signs, Fraction entries and zero normals
+        normal = st.one_of(st.tuples(*[entry] * dim), st.just((0,) * dim))
+        normals = data.draw(st.lists(normal, min_size=1, max_size=6))
+        radius = data.draw(st.integers(1, 3))
+        assert_scan_matches_brute_force(make_cone_system(normals), radius)
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -124,6 +162,22 @@ class TestCheckInstance:
     def test_classical_instance(self):
         row = check_instance("A", 1, (1,))
         assert (row.classical, row.hermitian) == (True, True)
+
+    def test_e6_classical_and_first_nonclassical_gradings(self):
+        # every route, the in-box witness check and the structure checks at rank 6
+        rs = build_root_system("E", 6)
+        instances = [labels for _, _, labels in sweep_instances(["E"], 6)]
+        classical = [
+            labels
+            for labels in instances
+            if is_classical_definitional(make_grading(rs, labels))[0]
+        ]
+        nonclassical = [labels for labels in instances if labels not in classical]
+        assert (len(classical), len(nonclassical)) == (64, 601)
+        for labels in classical:
+            assert check_instance("E", 6, labels).classical
+        for labels in nonclassical[:40]:
+            assert not check_instance("E", 6, labels).classical
 
 
 class TestSurvey:
