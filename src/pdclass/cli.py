@@ -32,7 +32,6 @@ from .grading import HodgeGrading, check_label_count, domain_text, make_grading
 from .oracle import (
     DEFAULT_RADIUS,
     SurveyRow,
-    check_instance,
     survey_crosscheck,
     sweep_instances,
 )
@@ -404,13 +403,8 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
         record("simple_noncompact_decomposition", bad, len(applicable), "gradings")
 
     if suite in ("equivalence", "all"):
-        bad = []
-        for type_label, rank, labels in instances:
-            try:
-                check_instance(type_label, rank, labels, radius)
-            except Exception as exc:  # noqa: BLE001 - collecting, not masking
-                domain = domain_text(type_label, rank, labels)
-                bad.append(f"{domain}: {type(exc).__name__}: {exc}")
+        result = survey_crosscheck(types, max_rank, radius)
+        bad = [": ".join(failure) for failure in result.failures]
         record("route_agreement", bad, len(instances), "gradings")
 
     lines.append(f"failures {failures}")

@@ -3,14 +3,13 @@
 The cone is the solution set of finitely many homogeneous inequalities
 ``n . x >= 0``.  It is trivial exactly when the dual cone spanned by the
 normals is the whole space, i.e. when every signed coordinate direction is a
-nonnegative combination of normals.  Each direction is settled by a Phase-I
-simplex on a fraction-free integer tableau: the normals are scaled to integer
-columns once per system, and every pivot is a Bareiss step over one common
-denominator, so no rational arithmetic happens inside a solve.  Entering and
-leaving choices follow the least-index rule, which makes every solve
-terminate; positive column scales change neither the signs nor the ratio
-order it reads, so the pivots, and with them every witness and certificate,
-are those of the plain rational tableau.
+nonnegative combination of normals.  :func:`make_cone_system` stores each
+normal as an integer vector, the normal times the lcm of its denominators; a
+positive multiple leaves the cone as it was.  Each direction is settled by a
+Phase-I simplex on a fraction-free tableau over those integer normals: every
+pivot is a Bareiss step over one common denominator, so no rational
+arithmetic happens inside a solve.  Entering and leaving choices follow the
+least-index rule, which makes every solve terminate.
 
 Whichever way the decision goes, the proof object is checked in exact
 integers inside the solve and again before it leaves this module; a Farkas
@@ -27,21 +26,20 @@ from typing import Sequence
 
 from .errors import InternalInconsistency
 
-Vector = tuple[Fraction, ...]
-
 
 @dataclass(frozen=True, eq=False)
 class ConeSystem:
-    """Normals of the inequalities; the cone is {x : n . x >= 0 for all n}."""
+    """Integer normals of the inequalities; the cone is
+    {x : n . x >= 0 for all n}.  Build it with :func:`make_cone_system`."""
 
-    normals: tuple[Vector, ...]
+    normals: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.normals[0])
 
     def contains(self, point: Sequence[Fraction | int]) -> bool:
-        return all(_dot(n, point) >= 0 for n in self.normals)
+        return all(sum(a * x for a, x in zip(n, point)) >= 0 for n in self.normals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +59,20 @@ class ConeDecision:
 
 
 def make_cone_system(normals: Sequence[Sequence[Fraction | int]]) -> ConeSystem:
+    """The cone of the given normals, each stored as an integer vector: the
+    normal times the lcm of its denominators.  That is a positive multiple,
+    so the cone is the same set, and an integer normal keeps its values."""
     if not normals:
         raise ValueError("a cone system needs at least one normal")
     dim = len(normals[0])
     if dim == 0 or any(len(n) != dim for n in normals):
         raise ValueError("normals must share a positive dimension")
-    return ConeSystem(tuple(tuple(Fraction(x) for x in n) for n in normals))
+    rows = []
+    for normal in normals:
+        entries = [x if isinstance(x, int) else Fraction(x) for x in normal]
+        scale = lcm(*(x.denominator for x in entries))
+        rows.append(tuple(x.numerator * (scale // x.denominator) for x in entries))
+    return ConeSystem(tuple(rows))
 
 
 def signed_directions(dimension: int) -> tuple[tuple[int, ...], ...]:
@@ -79,11 +85,7 @@ def signed_directions(dimension: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:
-    return Fraction(sum(x * y for x, y in zip(a, b)))
-
-
-def _coprime_integers(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def _coprime_integers(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Clear denominators and divide by the gcd.  The sign is preserved,
     since a cone is not symmetric; callers that want a canonical sign (the
     compact center basis) flip it themselves."""
@@ -97,30 +99,15 @@ def _coprime_integers(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _integer_columns(
-    normals: Sequence[Vector],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Each normal times the lcm of its denominators, with those scales.
-
-    A positive column scale changes neither the sign of a reduced cost nor
-    the order of the ratios in a column, so the pivot choices are unchanged.
-    """
-    scales = tuple(lcm(*(x.denominator for x in n)) for n in normals)
-    columns = tuple(
-        tuple(x.numerator * (s // x.denominator) for x in n)
-        for n, s in zip(normals, scales)
-    )
-    return columns, scales
-
-
 def _phase_one(
-    columns: Sequence[Sequence[int]], scales: Sequence[int], target: Sequence[int]
-) -> tuple[bool, tuple[Fraction, ...]]:
-    """Is ``target`` a nonnegative combination of ``columns[j] / scales[j]``?
+    columns: Sequence[Sequence[int]], target: Sequence[int]
+) -> tuple[bool, tuple[Fraction, ...] | tuple[int, ...]]:
+    """Is ``target`` a nonnegative combination of the integer ``columns``?
 
-    Returns (True, coefficients) or (False, y) where y separates: y . column
-    <= 0 for every column while y . target > 0.  Entering and leaving choices
-    both use the least-index rule, so the solve cannot cycle.
+    Returns (True, coefficients) or (False, y) where the integer vector y
+    separates: y . column <= 0 for every column while y . target > 0.
+    Entering and leaving choices both use the least-index rule, so the solve
+    cannot cycle.
 
     The tableau holds integers over one common denominator ``d``: row i
     stands for ``rows[i] / d``, and the last row is the phase-I reduced-cost
@@ -184,25 +171,22 @@ def _phase_one(
             for i, t in enumerate(target)
         ):
             raise InternalInconsistency("phase-I combination fails its target")
-        return True, tuple(
-            Fraction(s * x, d) for s, x in zip(scales, numerators)
-        )
-    y = [sigma[i] * (d - cost[m + i]) for i in range(r)]
+        return True, tuple(Fraction(x, d) for x in numerators)
+    y = tuple(sigma[i] * (d - cost[m + i]) for i in range(r))
     if any(sum(a * b for a, b in zip(y, col)) > 0 for col in columns) or sum(
         a * b for a, b in zip(y, target)
     ) <= 0:
         raise InternalInconsistency("phase-I dual fails to separate the target")
-    return False, tuple(Fraction(x, d) for x in y)
+    return False, y
 
 
 def decide_cone(sys: ConeSystem) -> ConeDecision:
     """TRIVIAL with a full Farkas certificate, or NONTRIVIAL with a nonzero
     integer point of the cone; the first infeasible direction in the fixed
     solve order determines the witness, so the answer is deterministic."""
-    columns, scales = _integer_columns(sys.normals)
     combinations = []
     for direction in signed_directions(sys.dimension):
-        feasible, payload = _phase_one(columns, scales, direction)
+        feasible, payload = _phase_one(sys.normals, direction)
         if not feasible:
             witness = _coprime_integers([-y for y in payload])
             if not (any(witness) and sys.contains(witness)):

@@ -17,10 +17,11 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .classifier import classify, grading_cone_system
-from .cone import ConeSystem, _coprime_integers
+from .cone import ConeSystem
 from .errors import InternalInconsistency, InvalidTypeRank
 from .grading import domain_text, make_grading
 from .rootsys import FAMILY_RANKS, build_root_system
+# validate_structure stays bound here for the span tracer in perfbench/tracing.py
 from .structures import new_complex_structure, positive_system_of, validate_structure
 
 DEFAULT_RADIUS = 3
@@ -91,16 +92,16 @@ def lattice_cone_search(system: ConeSystem, box: SearchBox) -> tuple[int, ...] |
     inequality stays negative even if every remaining coordinate adds the
     most it can (radius times the absolute coefficient), so every point
     skipped lies outside the cone and the first point found is the
-    brute-force one.
+    brute-force one.  The scan reads the integer normals of the system as
+    they are.
     """
     if box.dimension != system.dimension:
         raise ValueError(
             f"box dimension {box.dimension} != system dimension {system.dimension}"
         )
-    rows = [_coprime_integers(normal) for normal in system.normals]
     dim = box.dimension
-    columns = [tuple(row[k] for row in rows) for k in range(dim)]
-    zero = (0,) * len(rows)
+    columns = list(zip(*system.normals))
+    zero = (0,) * len(system.normals)
     # reach[k][j]: the largest amount coordinates k, k+1, ... can add to row j
     reach = [zero]
     for column in reversed(columns):
@@ -148,18 +149,14 @@ def sweep_instances(
 
 
 def _structures_checks(g) -> None:
+    """What ``new_complex_structure`` does not check itself; it has already
+    validated the structure and the sum-free minus half."""
     ns = new_complex_structure(g)
-    ok, violations = validate_structure(g, ns.structure.roots)
-    if not ok:
-        raise InternalInconsistency(f"new structure invalid: {violations[0]}")
     if not ns.differs_from_original:
         raise InternalInconsistency("new structure equals the original one")
     if not ns.projection_holomorphic:
         raise InternalInconsistency("projection lost holomorphy")
     positive_system_of(g, ns.structure)
-    rs = g.root_system
-    if rs.root_set_sum(ns.splitting.minus_roots, ns.splitting.minus_roots):
-        raise InternalInconsistency("minus half not sum-free")
 
 
 def check_instance(
@@ -197,8 +194,11 @@ def survey_crosscheck(
     failures rather than raising.
 
     Instance order is lexicographic and the merge preserves it, so the result
-    is identical for any job count.
+    is identical for any job count.  A radius below 1 raises ``ValueError``
+    before any grading is built.
     """
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
     instances = sweep_instances(types, max_rank)
 
     def run(instance):

@@ -185,9 +185,6 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         )
 
-    def is_root(self, vector: Sequence[int]) -> bool:
-        return tuple(vector) in self.roots
-
     def root_sum(self, a: Root, b: Root) -> Root | None:
         """Componentwise sum if it is again a root, else None."""
         s = root_add(a, b)
@@ -236,7 +233,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     positives = _generate_positive_roots(cartan)
     count = expected_root_count(type_label, rank)
     if 2 * len(positives) != count:
-        raise AssertionError(
+        raise InternalInconsistency(
             f"{type_label}{rank}: generated {2 * len(positives)} roots, expected {count}"
         )
     all_roots = frozenset(positives) | frozenset(map(root_neg, positives))

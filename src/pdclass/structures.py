@@ -34,7 +34,6 @@ class HermitianSplitting:
 
 @dataclass(frozen=True, eq=False)
 class ComplexStructure:
-    grading: HodgeGrading
     roots: frozenset[Root]
     parabolic_roots: frozenset[Root]
 
@@ -145,7 +144,7 @@ def make_structure(g: HodgeGrading, candidate) -> ComplexStructure:
         raise ValidationFailed(f"invalid structure: {violations[0]}")
     chosen = frozenset(tuple(a) for a in candidate)
     parabolic = frozenset(map(root_neg, chosen)) | g.isotropy_roots
-    return ComplexStructure(grading=g, roots=chosen, parabolic_roots=parabolic)
+    return ComplexStructure(roots=chosen, parabolic_roots=parabolic)
 
 
 def new_complex_structure(g: HodgeGrading) -> NewStructure:

@@ -81,6 +81,17 @@ class TestConeRoute:
         b = grading_cone_system(make_grading(c2, (2, 1)))
         assert a.normals == b.normals
 
+    @pytest.mark.parametrize("labels", [(1, 1), (0, 1), (1, 0), (2, 1)])
+    def test_normals_are_the_integer_bilinear_rows(self, c2, labels):
+        # the integer rows go into the cone system unchanged, which keeps the
+        # witnesses and certificates of every grading as they were
+        g = make_grading(c2, labels)
+        rows = [c2.bilinear_row(a) for a in g.compact_positive]
+        rows += [tuple(-x for x in c2.bilinear_row(b)) for b in g.noncompact_positive]
+        system = grading_cone_system(g)
+        assert system.normals == tuple(rows)
+        assert all(type(x) is int for n in system.normals for x in n)
+
     def test_rank_one_witness(self, a1):
         decision = cone_criterion(make_grading(a1, (1,)))
         assert decision.witness == (-1,)

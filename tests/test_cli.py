@@ -14,6 +14,7 @@ import pytest
 
 import pdclass.cli
 import pdclass.oracle
+import pdclass.rootsys
 from pdclass.cli import main, parse_domain, parse_weight
 from pdclass.errors import UsageError
 
@@ -148,6 +149,18 @@ class TestClassifyCommand:
         code, _, err = run_cli(capsys, "classify", "C2/0,2")
         assert code == 1
         assert "COMPACT_FORM" in err
+
+    def test_root_count_mismatch_exits_two(self, capsys, monkeypatch):
+        # build_root_system is cached: clear it so A2 is built afresh with the
+        # wrong count, and again so later tests do not see a stale system
+        monkeypatch.setattr(pdclass.rootsys, "expected_root_count", lambda *_: 7)
+        pdclass.rootsys.build_root_system.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "classify", "A2/1,0")
+        finally:
+            pdclass.rootsys.build_root_system.cache_clear()
+        assert (code, out) == (2, "")
+        assert err.startswith("error[INTERNAL_INCONSISTENCY]: A2: generated 6 roots")
 
 
 class TestCurvatureCommand:

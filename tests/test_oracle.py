@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdclass.oracle
 from pdclass.classifier import (
     classify,
     grading_cone_system,
@@ -230,6 +231,16 @@ class TestSurvey:
 
         assert flat(serial) == flat(threaded)
         assert serial.failures == threaded.failures
+
+    def test_radius_below_one_raises_before_the_sweep(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("sweep or root system built before the radius check")
+
+        monkeypatch.setattr(pdclass.oracle, "sweep_instances", forbidden)
+        monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
+        for radius in (0, -1):
+            with pytest.raises(ValueError, match="radius must be >= 1"):
+                survey_crosscheck(["A", "C"], 2, radius=radius)
 
     def test_rows_align_with_classify(self):
         result = survey_crosscheck(["B"], 2)
