@@ -12,22 +12,12 @@ its cross-checks; the failing domains are listed.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from pdclass.cli import DEFAULT_TYPES, render_survey_csv
 from pdclass.oracle import DEFAULT_RADIUS, survey_crosscheck
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    types: tuple[str, ...]
-    max_rank: int
-    radius: int
-    jobs: int
-    csv_path: str | None
-
-
-def parse_args(argv) -> SurveyConfig:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--types", default=DEFAULT_TYPES)
     parser.add_argument("--max-rank", type=int, default=4)
@@ -35,20 +25,17 @@ def parse_args(argv) -> SurveyConfig:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--csv", dest="csv_path", default=None)
     args = parser.parse_args(argv)
-    types = tuple(args.types.split(","))
-    return SurveyConfig(types, args.max_rank, args.radius, args.jobs, args.csv_path)
-
-
-def main(argv=None) -> int:
-    config = parse_args(argv)
     t0 = time.perf_counter()
-    result = survey_crosscheck(
-        config.types, config.max_rank, radius=config.radius, jobs=config.jobs
-    )
+    try:
+        result = survey_crosscheck(
+            args.types.split(","), args.max_rank, radius=args.radius, jobs=args.jobs
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     elapsed = time.perf_counter() - t0
 
     print(f"{len(result.rows)} gradings in {elapsed:.1f}s "
-          f"(radius {config.radius}, jobs {config.jobs})")
+          f"(radius {args.radius}, jobs {args.jobs})")
     print(f"{'family':>6} {'total':>6} {'classical':>10} {'fraction':>9} "
           f"{'hermitian':>10}")
     for agg in result.aggregates:
@@ -60,10 +47,10 @@ def main(argv=None) -> int:
     print(f"overall {classical}/{total} classical "
           f"({classical / total:.3f})" if total else "overall empty sweep")
 
-    if config.csv_path:
-        with open(config.csv_path, "w", encoding="utf-8", newline="") as handle:
+    if args.csv_path:
+        with open(args.csv_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(render_survey_csv(result))
-        print(f"wrote {config.csv_path}")
+        print(f"wrote {args.csv_path}")
 
     if result.failures:
         print(f"{len(result.failures)} failures:", file=sys.stderr)

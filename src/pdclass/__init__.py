@@ -43,7 +43,6 @@ from .errors import (
 )
 from .grading import HodgeGrading, make_grading
 from .oracle import (
-    SearchBox,
     SurveyResult,
     SurveyRow,
     lattice_cone_search,
@@ -88,7 +87,6 @@ __all__ = [
     "PdclassError",
     "PreconditionClassical",
     "RootSystem",
-    "SearchBox",
     "SurveyResult",
     "SurveyRow",
     "TheoremViolation",

@@ -98,11 +98,6 @@ def parse_weight(text: str, rank: int) -> tuple[Fraction, ...]:
     return tuple(weight)
 
 
-def _fraction_text(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _roots_json(roots) -> list[list[int]]:
     return [list(a) for a in sorted(roots, key=root_key)]
 
@@ -129,8 +124,7 @@ def classify_payload(report: DomainReport) -> dict:
         witnesses["farkas_summary"] = {
             "directions": len(report.farkas.combinations),
             "combinations": [
-                [_fraction_text(c) for c in combo]
-                for combo in report.farkas.combinations
+                [str(c) for c in combo] for combo in report.farkas.combinations
             ],
         }
     return {
@@ -260,8 +254,8 @@ def curvature_payload(g: HodgeGrading, weight) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "domain": _domain_json(rs.type_label, rs.rank, g.labels),
-        "weight": [_fraction_text(x) for x in weight],
-        "eigenvalues": [_fraction_text(x) for x in eigenvalues],
+        "weight": [str(x) for x in weight],
+        "eigenvalues": [str(x) for x in eigenvalues],
         "signature": list(signature),
         "q": sign_violations(g, weight),
         "predicts_vanishing": predicts_vanishing(g, weight),
@@ -274,8 +268,8 @@ def render_curvature_text(g: HodgeGrading, weight) -> str:
     rs = g.root_system
     lines = [
         "domain " + domain_text(rs.type_label, rs.rank, g.labels),
-        "weight " + ",".join(_fraction_text(x) for x in weight),
-        "eigenvalues " + ",".join(_fraction_text(x) for x in eigenvalues),
+        "weight " + ",".join(str(x) for x in weight),
+        "eigenvalues " + ",".join(str(x) for x in eigenvalues),
         f"signature ({signature[0]},{signature[1]},{signature[2]})",
         f"q {q}",
         f"predicts_vanishing {_flag_text(predicts_vanishing(g, weight))}",
@@ -291,9 +285,7 @@ def structures_payload(g: HodgeGrading) -> dict:
         "schema_version": SCHEMA_VERSION,
         "domain": _domain_json(rs.type_label, rs.rank, g.labels),
         "splitting": {
-            "center_direction": [
-                _fraction_text(x) for x in ns.splitting.center_direction
-            ],
+            "center_direction": [str(x) for x in ns.splitting.center_direction],
             "plus": _roots_json(ns.splitting.plus_roots),
             "minus": _roots_json(ns.splitting.minus_roots),
         },
@@ -478,12 +470,18 @@ def _resolve(args, key, config, default, convert=str):
     return default
 
 
-def _resolve_radius(args, config) -> int:
-    """The lattice oracle radius, rejected before any sweep is built."""
+def _sweep_options(args, config) -> tuple[list[str], int, int, int]:
+    """Types, max rank, oracle radius and job count of a survey or verify
+    sweep; a radius or job count below 1 is rejected before any sweep is
+    built.  ``verify`` runs serially and takes no job count."""
+    types = _resolve(args, "types", config, DEFAULT_TYPES).split(",")
+    max_rank = _resolve(args, "max_rank", config, DEFAULT_MAX_RANK, int)
     radius = _resolve(args, "radius", config, DEFAULT_RADIUS, int)
-    if radius < 1:
-        raise UsageError(f"radius must be >= 1, got {radius}")
-    return radius
+    jobs = _resolve(args, "jobs", config, 1, int) if args.subcommand == "survey" else 1
+    for name, value in (("radius", radius), ("jobs", jobs)):
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1, got {value}")
+    return types, max_rank, radius, jobs
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -499,83 +497,58 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# the formats of each subcommand's report; a json renderer returns the payload
+FORMATS = {
+    "classify": {
+        "text": render_classify_text,
+        "json": classify_payload,
+        "csv": render_classify_csv,
+    },
+    "survey": {
+        "text": render_survey_text,
+        "json": survey_payload,
+        "csv": render_survey_csv,
+    },
+    "curvature": {"text": render_curvature_text, "json": curvature_payload},
+    "structures": {"text": render_structures_text, "json": structures_payload},
+    "verify": {"text": str},
+}
+
+
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = _read_config(args.config) if args.config else {}
     fmt = _resolve(args, "format", config, "text")
+    renderers = FORMATS[args.subcommand]
+    if fmt not in renderers:
+        raise UsageError(f"{args.subcommand} reports have no {fmt} form")
 
+    code = 0
+    if args.subcommand in ("survey", "verify"):
+        types, max_rank, radius, jobs = _sweep_options(args, config)
     if args.subcommand == "classify":
-        report = classify(parse_domain(args.domain))
-        if fmt == "json":
-            text = _json_text(classify_payload(report))
-        elif fmt == "csv":
-            text = render_classify_csv(report)
-        else:
-            text = render_classify_text(report)
-        _emit(text, args.out)
-        return 0
-
-    if args.subcommand == "survey":
-        types = _resolve(args, "types", config, DEFAULT_TYPES).split(",")
-        max_rank = _resolve(args, "max_rank", config, DEFAULT_MAX_RANK, int)
-        radius = _resolve_radius(args, config)
-        jobs = _resolve(args, "jobs", config, 1, int)
-        result = survey_crosscheck(types, max_rank, radius=radius, jobs=jobs)
-        if fmt == "json":
-            text = _json_text(survey_payload(result))
-        elif fmt == "csv":
-            text = render_survey_csv(result)
-        else:
-            text = render_survey_text(result)
-        _emit(text, args.out)
-        return 0
-
-    if args.subcommand == "curvature":
+        subject = (classify(parse_domain(args.domain)),)
+    elif args.subcommand == "survey":
+        subject = (survey_crosscheck(types, max_rank, radius=radius, jobs=jobs),)
+    elif args.subcommand == "curvature":
         g = parse_domain(args.domain)
-        weight = parse_weight(args.weight, g.root_system.rank)
-        if fmt == "csv":
-            raise UsageError("curvature reports have no csv form")
-        if fmt == "json":
-            text = _json_text(curvature_payload(g, weight))
-        else:
-            text = render_curvature_text(g, weight)
-        _emit(text, args.out)
-        return 0
-
-    if args.subcommand == "structures":
-        g = parse_domain(args.domain)
-        if fmt == "csv":
-            raise UsageError("structure reports have no csv form")
-        if fmt == "json":
-            text = _json_text(structures_payload(g))
-        else:
-            text = render_structures_text(g)
-        _emit(text, args.out)
-        return 0
-
-    # argparse admits one more subcommand: verify
-    if fmt != "text":
-        raise UsageError("verify reports are text only")
-    types = _resolve(args, "types", config, DEFAULT_TYPES).split(",")
-    max_rank = _resolve(args, "max_rank", config, DEFAULT_MAX_RANK, int)
-    radius = _resolve_radius(args, config)
-    text, code = run_verify(types, max_rank, radius, args.suite)
-    _emit(text, args.out)
+        subject = (g, parse_weight(args.weight, g.root_system.rank))
+    elif args.subcommand == "structures":
+        subject = (parse_domain(args.domain),)
+    else:  # argparse admits one more subcommand: verify
+        text, code = run_verify(types, max_rank, radius, args.suite)
+        subject = (text,)
+    rendered = renderers[fmt](*subject)
+    _emit(_json_text(rendered) if fmt == "json" else rendered, args.out)
     return code
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except UsageError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except TheoremViolation as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
     except PdclassError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, TheoremViolation) else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Iterable, Sequence
 
 from .classifier import classify, grading_cone_system
@@ -25,20 +25,6 @@ from .rootsys import FAMILY_RANKS, build_root_system
 from .structures import new_complex_structure, positive_system_of, validate_structure
 
 DEFAULT_RADIUS = 3
-
-
-@dataclass(frozen=True, eq=False)
-class SearchBox:
-    """Integer box [-radius, radius]^dimension to scan."""
-
-    radius: int
-    dimension: int
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError(f"radius must be >= 1, got {self.radius}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +68,11 @@ class SurveyResult:
     failures: tuple[tuple[str, str], ...]
 
 
-def lattice_cone_search(system: ConeSystem, box: SearchBox) -> tuple[int, ...] | None:
-    """First nonzero integer point of the box satisfying every inequality, in
-    lexicographic scan order; None when the box holds no cone point.
+def lattice_cone_search(system: ConeSystem, radius: int) -> tuple[int, ...] | None:
+    """First nonzero integer point of the box [-radius, radius]^dimension
+    satisfying every inequality, in lexicographic scan order; None when the
+    box holds no cone point.  The dimension is the system's; a radius below 1
+    raises ``ValueError``.
 
     One-sided: None never proves the cone trivial.  The scan is depth first:
     coordinates are fixed in order, each from -radius up to radius, which is
@@ -95,19 +83,17 @@ def lattice_cone_search(system: ConeSystem, box: SearchBox) -> tuple[int, ...] |
     brute-force one.  The scan reads the integer normals of the system as
     they are.
     """
-    if box.dimension != system.dimension:
-        raise ValueError(
-            f"box dimension {box.dimension} != system dimension {system.dimension}"
-        )
-    dim = box.dimension
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    dim = system.dimension
     columns = list(zip(*system.normals))
     zero = (0,) * len(system.normals)
     # reach[k][j]: the largest amount coordinates k, k+1, ... can add to row j
     reach = [zero]
     for column in reversed(columns):
-        reach.append(tuple(t + box.radius * abs(a) for t, a in zip(reach[-1], column)))
+        reach.append(tuple(t + radius * abs(a) for t, a in zip(reach[-1], column)))
     reach.reverse()
-    values = range(-box.radius, box.radius + 1)
+    values = range(-radius, radius + 1)
     point = [0] * dim
 
     def scan(k: int, sums: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -167,7 +153,7 @@ def check_instance(
     g = make_grading(rs, labels)
     report = classify(g)
     system = grading_cone_system(g)
-    point = lattice_cone_search(system, SearchBox(radius=radius, dimension=rank))
+    point = lattice_cone_search(system, radius)
     if point is not None and not report.classical:
         raise InternalInconsistency(
             f"lattice point {point} found in a cone declared trivial"
@@ -194,11 +180,12 @@ def survey_crosscheck(
     failures rather than raising.
 
     Instance order is lexicographic and the merge preserves it, so the result
-    is identical for any job count.  A radius below 1 raises ``ValueError``
-    before any grading is built.
+    is identical for any job count.  A radius or job count below 1 raises
+    ``ValueError`` before any grading is built.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    for name, value in (("radius", radius), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     instances = sweep_instances(types, max_rank)
 
     def run(instance):
@@ -217,17 +204,20 @@ def survey_crosscheck(
 
     rows = tuple(row for row, _ in outcomes if row is not None)
     failures = tuple(failure for _, failure in outcomes if failure is not None)
+    # rows come in sweep order, so each (type, rank) group is contiguous
     aggregates = []
-    for type_label, rank in sorted({(r.type_label, r.rank) for r in rows}):
-        group = [r for r in rows if (r.type_label, r.rank) == (type_label, rank)]
+    by_system = groupby(rows, key=lambda r: (r.type_label, r.rank))
+    for (type_label, rank), group in by_system:
+        group = list(group)
+        n_classical = sum(r.classical for r in group)
         aggregates.append(
             SurveyAggregate(
                 type_label=type_label,
                 rank=rank,
                 total=len(group),
-                n_classical=sum(1 for r in group if r.classical),
-                n_nonclassical=sum(1 for r in group if not r.classical),
-                n_hermitian=sum(1 for r in group if r.hermitian),
+                n_classical=n_classical,
+                n_nonclassical=len(group) - n_classical,
+                n_hermitian=sum(r.hermitian for r in group),
             )
         )
     return SurveyResult(rows=rows, aggregates=tuple(aggregates), failures=failures)

@@ -32,7 +32,7 @@ from pdclass.classifier import (
 )
 from pdclass.cone import decide_cone, make_cone_system, verify_certificate
 from pdclass.grading import make_grading
-from pdclass.oracle import SearchBox, lattice_cone_search, survey_crosscheck
+from pdclass.oracle import lattice_cone_search, survey_crosscheck
 from pdclass.rootsys import build_root_system, verify_triple_sum_reduction
 from pdclass.structures import (
     enumerate_structures,
@@ -128,7 +128,7 @@ def test_criterion_4():
     assert r11.m0 == 3 and r11.dim_D == 4
     assert r11.witness_nonclassical == ((1, 0), (0, 1))
     sys11 = grading_cone_system(g11)
-    assert lattice_cone_search(sys11, SearchBox(radius=3, dimension=2)) is None
+    assert lattice_cone_search(sys11, 3) is None
     assert verify_certificate(sys11, r11.farkas)
 
     g01 = make_grading(c2, (0, 1))
@@ -137,7 +137,7 @@ def test_criterion_4():
     assert r01.hermitian_type
     sys01 = grading_cone_system(g01)
     assert sys01.contains(r01.witness_classical)
-    point = lattice_cone_search(sys01, SearchBox(radius=3, dimension=2))
+    point = lattice_cone_search(sys01, 3)
     assert point == (-3, -3)
     assert sys01.contains(point)
 
@@ -245,7 +245,7 @@ def test_criterion_7(sweep):
             [tuple(s * x for x in n) for s, n in zip(scales, normals)]
         )
         assert decide_cone(rescaled).trivial == decision.trivial
-        point = lattice_cone_search(system, SearchBox(2, system.dimension))
+        point = lattice_cone_search(system, 2)
         if point is not None:
             assert not decision.trivial
         if not decision.trivial and max(abs(x) for x in decision.witness) <= 2:

@@ -30,6 +30,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Fail the test if a sweep or a root system is built."""
+
+    def forbidden(*args):
+        raise AssertionError("sweep or root system built before the input check")
+
+    for module in (pdclass.cli, pdclass.oracle):
+        monkeypatch.setattr(module, "sweep_instances", forbidden)
+        monkeypatch.setattr(module, "build_root_system", forbidden)
+
+
 class TestParsing:
     def test_domain_round_trip(self):
         g = parse_domain("C2/1,1")
@@ -371,6 +383,55 @@ class TestRadiusBound:
         assert (code, out) == (1, "")
         assert err.startswith("error[USAGE]: radius must be >= 1")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_below_one_rejected_before_the_sweep(
+        self, capsys, tmp_path, nothing_built, source
+    ):
+        for jobs in ("0", "-3"):
+            argv = ["survey", "--types", "A", "--max-rank", "2"]
+            if source == "flag":
+                argv += ["--jobs", jobs]
+            else:
+                config = tmp_path / "pdclass.cfg"
+                config.write_text(f"jobs = {jobs}\n", encoding="utf-8")
+                argv += ["--config", str(config)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error[USAGE]: jobs must be >= 1, got {jobs}\n"
+
+
+@pytest.mark.usefixtures("nothing_built")
+class TestFormats:
+    """The format is checked against the subcommand before anything is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "C2/1,1"],
+            ["survey"],
+            ["curvature", "C2/1,1", "--weight", "1,0"],
+            ["structures", "C2/1,1"],
+            ["verify"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_format_without_renderer_rejected(self, capsys, tmp_path, argv):
+        config = tmp_path / "pdclass.cfg"
+        config.write_text("format = xml\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error[USAGE]: {argv[0]} reports have no xml form\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["curvature", "C2/1,1", "--weight", "1,0"], ["structures", "C2/1,1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_rejected_before_building(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err == f"error[USAGE]: {argv[0]} reports have no csv form\n"
+
 
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -490,6 +551,10 @@ class TestGolden:
                 ["survey", "--types", "A,C", "--max-rank", "2", "--format", "json"],
             ),
             ("verify_AC_2.txt", ["verify", "--types", "A,C", "--max-rank", "2"]),
+            (
+                "curvature_C2_1_1_w_1_0.txt",
+                ["curvature", "C2/1,1", "--weight", "1,0"],
+            ),
         ],
     )
     def test_stdout_matches_golden(self, capsys, name, argv):
@@ -532,3 +597,15 @@ class TestScripts:
             timing, _, out = out.partition("\n")
             assert re.fullmatch(r"11 gradings in \d+\.\ds \(radius 3, jobs 1\)", timing)
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("option", ["--radius", "--jobs"])
+    def test_run_survey_rejects_values_below_one(self, option):
+        src = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_survey.py"), option, "0"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src))),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(f"error: {option[2:]} must be >= 1, got 0\n")

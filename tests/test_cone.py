@@ -136,6 +136,8 @@ class TestFrozenSystems:
             make_cone_system([])
         with pytest.raises(ValueError):
             make_cone_system([(1, 0), (1,)])
+        with pytest.raises(ValueError):
+            make_cone_system([()])
 
 
 class TestCertificates:

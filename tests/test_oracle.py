@@ -13,7 +13,6 @@ from pdclass.classifier import (
 from pdclass.cone import decide_cone, make_cone_system
 from pdclass.grading import make_grading
 from pdclass.oracle import (
-    SearchBox,
     check_instance,
     lattice_cone_search,
     survey_crosscheck,
@@ -27,7 +26,7 @@ from conftest import SWEEP_SYSTEMS, lattice_points_in_cone, sweep_label_vectors
 def assert_scan_matches_brute_force(system, radius):
     """The pruned scan returns the full scan's first hit, or None."""
     hits = lattice_points_in_cone(system.normals, radius, system.dimension)
-    found = lattice_cone_search(system, SearchBox(radius, system.dimension))
+    found = lattice_cone_search(system, radius)
     assert found == (hits[0] if hits else None), (system.normals, radius)
 
 
@@ -39,42 +38,33 @@ def exceptional_sample(rank):
     return single + swept[:: len(swept) // 7]
 
 
-class TestSearchBox:
-    def test_radius_bound(self):
-        with pytest.raises(ValueError):
-            SearchBox(radius=0, dimension=2)
-
-    def test_dimension_bound(self):
-        with pytest.raises(ValueError):
-            SearchBox(radius=1, dimension=0)
-
-    def test_mismatched_dimension_rejected(self):
-        system = make_cone_system([(1, 0)])
-        with pytest.raises(ValueError):
-            lattice_cone_search(system, SearchBox(radius=1, dimension=3))
-
-
 class TestLatticeSearch:
+    def test_radius_below_one_rejected(self):
+        system = make_cone_system([(1, 0)])
+        for radius in (0, -1):
+            with pytest.raises(ValueError, match="radius must be >= 1"):
+                lattice_cone_search(system, radius)
+
     def test_half_line(self):
         system = make_cone_system([(1,)])
-        assert lattice_cone_search(system, SearchBox(1, 1)) == (1,)
+        assert lattice_cone_search(system, 1) == (1,)
 
     def test_first_hit_is_lexicographic_minimum(self, c2):
         system = grading_cone_system(make_grading(c2, (0, 1)))
-        assert lattice_cone_search(system, SearchBox(2, 2)) == (-2, -2)
-        assert lattice_cone_search(system, SearchBox(3, 2)) == (-3, -3)
+        assert lattice_cone_search(system, 2) == (-2, -2)
+        assert lattice_cone_search(system, 3) == (-3, -3)
 
     def test_trivial_cone_yields_nothing(self, c2):
         system = grading_cone_system(make_grading(c2, (1, 1)))
-        assert lattice_cone_search(system, SearchBox(3, 2)) is None
+        assert lattice_cone_search(system, 3) is None
 
     def test_mixed_sign_normals(self):
         system = make_cone_system([(2, -2), (2, 0), (2, -4), (0, -2)])
-        assert lattice_cone_search(system, SearchBox(2, 2)) == (0, -2)
+        assert lattice_cone_search(system, 2) == (0, -2)
 
     def test_found_point_lies_in_cone(self, c2):
         system = grading_cone_system(make_grading(c2, (0, 1)))
-        point = lattice_cone_search(system, SearchBox(3, 2))
+        point = lattice_cone_search(system, 3)
         assert system.contains(point)
 
     def test_matches_slow_scan(self):
@@ -116,7 +106,7 @@ class TestLatticeSearch:
     )
     def test_one_sided_contract(self, radius, normals):
         system = make_cone_system(normals)
-        found = lattice_cone_search(system, SearchBox(radius, 2))
+        found = lattice_cone_search(system, radius)
         decision = decide_cone(system)
         if found is not None:
             # a concrete point refutes triviality
@@ -241,6 +231,16 @@ class TestSurvey:
         for radius in (0, -1):
             with pytest.raises(ValueError, match="radius must be >= 1"):
                 survey_crosscheck(["A", "C"], 2, radius=radius)
+
+    def test_jobs_below_one_raises_before_the_sweep(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("sweep or root system built before the jobs check")
+
+        monkeypatch.setattr(pdclass.oracle, "sweep_instances", forbidden)
+        monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                survey_crosscheck(["A", "C"], 2, jobs=jobs)
 
     def test_rows_align_with_classify(self):
         result = survey_crosscheck(["B"], 2)
