@@ -136,6 +136,8 @@ class TestFrozenSystems:
             make_cone_system([])
         with pytest.raises(ValueError):
             make_cone_system([(1, 0), (1,)])
+
+    def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             make_cone_system([()])
 
