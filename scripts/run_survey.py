@@ -14,6 +14,7 @@ import sys
 import time
 
 from pdclass.cli import DEFAULT_TYPES, render_survey_csv
+from pdclass.errors import UsageError
 from pdclass.oracle import DEFAULT_RADIUS, survey_crosscheck
 
 
@@ -30,7 +31,7 @@ def main(argv=None) -> int:
         result = survey_crosscheck(
             args.types.split(","), args.max_rank, radius=args.radius, jobs=args.jobs
         )
-    except ValueError as exc:
+    except (ValueError, UsageError) as exc:
         parser.error(str(exc))
     elapsed = time.perf_counter() - t0
 

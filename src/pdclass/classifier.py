@@ -8,6 +8,7 @@ are computed by unrelated algorithms and must agree; :func:`classify` raises
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -79,26 +80,37 @@ def bracket_generation(g: HodgeGrading) -> tuple[bool, tuple[Root, ...]]:
     addition; the domain is non-classical iff the closure swallows every
     positive noncompact root.
 
-    Rounds scan a canonical-order snapshot, so the discovery trace is
-    deterministic.  Root addition is the faithful shadow of bracketing here
-    because root spaces are one-dimensional and brackets of opposite root
-    vectors only add Cartan directions.
+    Rounds scan the pairs ``(i, j >= i)`` of a canonical-order snapshot, so
+    the discovery trace is deterministic.  The closure is semi-naive: a pair
+    of two members that were already in the previous round's snapshot was
+    tried there, so a round visits, in the same order, only the pairs with
+    a member added in the previous round, and the closure stops after the
+    first round that adds nothing.  Root addition is the faithful shadow of
+    bracketing here because root spaces are one-dimensional and brackets of
+    opposite root vectors only add Cartan directions.
     """
-    rs = g.root_system
+    roots = g.root_system.roots
     current = set(g.fiber_roots)
     current.update(map(root_neg, g.noncompact_positive))
     trace: list[Root] = []
-    changed = True
-    while changed:
-        changed = False
+    fresh = current.copy()
+    while fresh:
         members = sorted(current, key=root_key)
+        fresh_at = [i for i, a in enumerate(members) if a in fresh]
+        fresh_members = [members[i] for i in fresh_at]
+        added: list[Root] = []
         for i, a in enumerate(members):
-            for b in members[i:]:
+            if a in fresh:
+                partners = members[i:]
+            else:
+                partners = fresh_members[bisect_left(fresh_at, i):]
+            for b in partners:
                 s = root_add(a, b)
-                if s in rs.roots and s not in current:
+                if s in roots and s not in current:
                     current.add(s)
-                    trace.append(s)
-                    changed = True
+                    added.append(s)
+        trace += added
+        fresh = set(added)
     generates = all(b in current for b in g.noncompact_positive)
     return generates, tuple(trace)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from typing import Sequence
 
 from .cone import _coprime_integers
@@ -27,35 +28,55 @@ CenterBasis = tuple[tuple[int, ...], ...]
 
 
 def rational_nullspace(rows: Sequence[Sequence[int]], dim: int) -> CenterBasis:
-    """Basis of {x : row . x = 0 for all rows}, exact, deterministically ordered.
+    """Basis of {x : row . x = 0 for all integer rows}, exact, deterministically
+    ordered.
 
-    Each basis vector is scaled to coprime integers with its first nonzero
-    coordinate positive.
+    Forward elimination stays in integers: each row is reduced against the
+    pivot rows found so far by cross-multiplication, and a row that survives
+    becomes a pivot row, divided by its gcd.  Full rank returns ``()`` at
+    once.  Otherwise the at most ``dim`` pivot rows are back-substituted in
+    Fractions into the reduced row echelon form, which is unique, so the
+    basis is the one Gauss-Jordan elimination gives: one vector per free
+    column, scaled to coprime integers with its first nonzero coordinate
+    positive.
     """
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(dim):
-        pivot_row = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), None)
-        if pivot_row is None:
+    pivot_rows: dict[int, list[int]] = {}
+    for row in rows:
+        row = list(row)
+        lead = next((c for c in range(dim) if row[c]), None)
+        while lead is not None and lead in pivot_rows:
+            pivot = pivot_rows[lead]
+            p, q = pivot[lead], row[lead]
+            row = [p * x - q * y for x, y in zip(row, pivot)]
+            lead = next((c for c in range(lead + 1, dim) if row[c]), None)
+        if lead is None:
             continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = matrix[r][col]
-        matrix[r] = [x / inv for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][col] != 0:
-                factor = matrix[i][col]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(col)
-        r += 1
+        g = gcd(*row)
+        pivot_rows[lead] = [x // g for x in row] if g > 1 else row
+        if len(pivot_rows) == dim:
+            return ()
+    # back-substitution, last pivot first: pivot column -> reduced row
+    reduced: dict[int, list[Fraction]] = {}
+    for col in sorted(pivot_rows, reverse=True):
+        lead = pivot_rows[col][col]
+        if lead == 0:
+            raise InternalInconsistency(
+                f"pivot row for column {col} has a zero leading entry"
+            )
+        vec = [Fraction(x, lead) for x in pivot_rows[col]]
+        for later, other in reduced.items():
+            factor = vec[later]
+            if factor:
+                vec = [a - factor * b for a, b in zip(vec, other)]
+        reduced[col] = vec
     basis = []
     for free in range(dim):
-        if free in pivots:
+        if free in reduced:
             continue
         vec = [Fraction(0)] * dim
         vec[free] = Fraction(1)
-        for row_index, col in enumerate(pivots):
-            vec[col] = -matrix[row_index][free]
+        for col, row in reduced.items():
+            vec[col] = -row[free]
         ints = _coprime_integers(vec)
         if next(x for x in ints if x) < 0:
             ints = tuple(-x for x in ints)

@@ -3,10 +3,13 @@
 The oracles here deliberately use different algorithms from the package:
 root sets come from reflection closure instead of height recursion, cone
 nontriviality from variable elimination instead of simplex feasibility, and
-structure enumeration from filtering the full sign hypercube.  The one
-deliberate exception is the reference Fraction simplex, which takes the same
-pivots as the package's integer tableau and must reproduce its proof objects
-bit for bit.
+structure enumeration from filtering the full sign hypercube.  The
+deliberate exceptions are the references kept from earlier versions of the
+package, which must reproduce its output bit for bit: the Fraction simplex,
+which takes the same pivots as the integer tableau; the Fraction
+Gauss-Jordan nullspace, which gives the same compact-center basis as the
+integer elimination; and the round-by-round bracket closure, which gives the
+same trace as the semi-naive one.
 
 This file also collects the acceptance-criterion outcomes and prints one
 PASS/FAIL line per criterion at the end of the run.
@@ -20,7 +23,7 @@ from math import gcd, lcm
 
 import pytest
 
-from pdclass.rootsys import build_root_system
+from pdclass.rootsys import build_root_system, root_add, root_key, root_neg
 
 ACCEPTANCE_TITLES = {
     1: "route agreement across the full sweep",
@@ -218,6 +221,65 @@ def reference_decide_cone(normals):
     return True, None, tuple(combinations)
 
 
+def reference_nullspace(rows, dim):
+    """The Fraction Gauss-Jordan nullspace the package used before its
+    integer elimination, kept verbatim as a test-only reference (with this
+    file's ``_coprime`` for the package's ``_coprime_integers``): every row
+    reduced in Fractions, basis read off the reduced row echelon form."""
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(dim):
+        pivot_row = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        inv = matrix[r][col]
+        matrix[r] = [x / inv for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][col] != 0:
+                factor = matrix[i][col]
+                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * dim
+        vec[free] = Fraction(1)
+        for row_index, col in enumerate(pivots):
+            vec[col] = -matrix[row_index][free]
+        ints = _coprime(vec)
+        if next(x for x in ints if x) < 0:
+            ints = tuple(-x for x in ints)
+        basis.append(ints)
+    return tuple(basis)
+
+
+def reference_bracket_generation(g):
+    """The round-by-round bracket closure the package used before its
+    semi-naive one, kept verbatim as a test-only reference: every round
+    rescans all pairs of its snapshot, the last round included."""
+    rs = g.root_system
+    current = set(g.fiber_roots)
+    current.update(map(root_neg, g.noncompact_positive))
+    trace = []
+    changed = True
+    while changed:
+        changed = False
+        members = sorted(current, key=root_key)
+        for i, a in enumerate(members):
+            for b in members[i:]:
+                s = root_add(a, b)
+                if s in rs.roots and s not in current:
+                    current.add(s)
+                    trace.append(s)
+                    changed = True
+    generates = all(b in current for b in g.noncompact_positive)
+    return generates, tuple(trace)
+
+
 def brute_force_structures(grading):
     """All valid half-selections of the nonzero-grade roots, by filtering the
     full sign hypercube against the three defining conditions."""
@@ -295,6 +357,22 @@ SWEEP_SYSTEMS = [
     ("D", 4),
     ("G", 2),
     ("F", 4),
+]
+
+
+# exceptional gradings for the slow references: classical (with and without
+# a fiber) and non-classical, Hermitian and not
+EXCEPTIONAL_SAMPLE = [
+    ("E", 6, (1, 0, 0, 0, 0, 0)),
+    ("E", 6, (0, 0, 2, 0, 0, 1)),
+    ("E", 6, (0, 1, 0, 0, 0, 0)),
+    ("E", 6, (0, 0, 0, 1, 1, 2)),
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1)),
+    ("E", 7, (0, 0, 0, 0, 1, 1, 2)),
+    ("E", 7, (0, 2, 1, 0, 0, 1, 2)),
+    ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0)),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
+    ("E", 8, (2, 1, 0, 1, 0, 0, 1, 2)),
 ]
 
 

@@ -23,7 +23,12 @@ from pdclass.errors import PreconditionClassical
 from pdclass.grading import make_grading
 from pdclass.rootsys import build_root_system
 
-from conftest import SWEEP_SYSTEMS, sweep_label_vectors
+from conftest import (
+    EXCEPTIONAL_SAMPLE,
+    SWEEP_SYSTEMS,
+    reference_bracket_generation,
+    sweep_label_vectors,
+)
 
 # Small systems only; the full sweep lives in the acceptance suite.
 SMALL_SYSTEMS = [(t, r) for t, r in SWEEP_SYSTEMS if r <= 3]
@@ -142,6 +147,24 @@ class TestBracketRoute:
             (0, -1, 0),
             (0, 1, 0),
         )
+
+
+class TestReferenceBracketAgreement:
+    """The semi-naive closure against the round-by-round closure it replaced
+    (``conftest.reference_bracket_generation``): the same verdict and the
+    same trace, discovery order included."""
+
+    @pytest.mark.parametrize("type_label,rank", SWEEP_SYSTEMS)
+    def test_every_sweep_grading(self, type_label, rank):
+        rs = build_root_system(type_label, rank)
+        for labels in sweep_label_vectors(rank):
+            g = make_grading(rs, labels)
+            assert bracket_generation(g) == reference_bracket_generation(g)
+
+    @pytest.mark.parametrize("type_label,rank,labels", EXCEPTIONAL_SAMPLE)
+    def test_exceptional_sample(self, type_label, rank, labels):
+        g = make_grading(build_root_system(type_label, rank), labels)
+        assert bracket_generation(g) == reference_bracket_generation(g)
 
 
 class TestSignViolations:

@@ -564,6 +564,16 @@ class TestGolden:
 
 
 class TestScripts:
+    @staticmethod
+    def run_script(name, *args):
+        src = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / name), *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src))),
+        )
+
     @pytest.mark.parametrize(
         "name, argv",
         [
@@ -582,14 +592,7 @@ class TestScripts:
         ],
     )
     def test_stdout_matches_golden(self, name, argv):
-        src = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        path = os.pathsep.join(filter(None, src))
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = self.run_script(*argv)
         assert proc.returncode == 0, proc.stderr
         out = proc.stdout
         if argv[0] == "run_survey.py":
@@ -600,12 +603,11 @@ class TestScripts:
 
     @pytest.mark.parametrize("option", ["--radius", "--jobs"])
     def test_run_survey_rejects_values_below_one(self, option):
-        src = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_survey.py"), option, "0"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src))),
-        )
+        proc = self.run_script("run_survey.py", option, "0")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.endswith(f"error: {option[2:]} must be >= 1, got 0\n")
+
+    def test_run_survey_rejects_unknown_family(self):
+        proc = self.run_script("run_survey.py", "--types", "X")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith("error: unknown family 'X'\n")

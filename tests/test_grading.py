@@ -8,10 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEEP_SYSTEMS, sweep_label_vectors
+from conftest import (
+    EXCEPTIONAL_SAMPLE,
+    SWEEP_SYSTEMS,
+    reference_nullspace,
+    sweep_label_vectors,
+)
 from pdclass.errors import CompactForm, LabelOutOfRange
-from pdclass.grading import HodgeGrading, make_grading
-from pdclass.rootsys import build_root_system
+from pdclass.grading import HodgeGrading, make_grading, rational_nullspace
+from pdclass.rootsys import build_root_system, root_key
 
 
 def grading(type_label, rank, labels):
@@ -180,6 +185,59 @@ class TestCompactCenter:
                 assert dim in (0, 1)
             else:
                 assert g.root_system.rank == 1
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows of length 1 to 8, mixing fresh rows with zero rows,
+    duplicates and integer combinations of earlier rows (rank deficiency)."""
+    dim = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["fresh", "zero"] + (["duplicate", "combination"] if rows else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            row = draw(st.tuples(*[st.integers(-4, 4) for _ in range(dim)]))
+        elif kind == "zero":
+            row = (0,) * dim
+        elif kind == "duplicate":
+            row = draw(st.sampled_from(rows))
+        else:
+            p, q = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = tuple(s * x + t * y for x, y in zip(p, q))
+        rows.append(row)
+    return rows, dim
+
+
+class TestReferenceNullspace:
+    """The integer elimination against the Fraction Gauss-Jordan nullspace it
+    replaced (``conftest.reference_nullspace``): the same basis, bit for bit,
+    on the compact and the noncompact positives."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        rank = g.root_system.rank
+        compact = sorted(g.compact_positive, key=root_key)
+        noncompact = sorted(g.noncompact_positive, key=root_key)
+        assert g.compact_center_basis == reference_nullspace(compact, rank)
+        assert rational_nullspace(noncompact, rank) == reference_nullspace(
+            noncompact, rank
+        )
+
+    def test_every_sweep_grading(self):
+        for g in all_sweep_gradings():
+            self.assert_matches_reference(g)
+
+    @pytest.mark.parametrize("type_label,rank,labels", EXCEPTIONAL_SAMPLE)
+    def test_exceptional_sample(self, type_label, rank, labels):
+        self.assert_matches_reference(grading(type_label, rank, labels))
+
+    @given(integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_random_integer_matrices(self, matrix):
+        rows, dim = matrix
+        assert rational_nullspace(rows, dim) == reference_nullspace(rows, dim)
 
 
 @st.composite
