@@ -11,7 +11,6 @@ crashing.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby, product
 from typing import Iterable, Sequence
@@ -197,6 +196,9 @@ def survey_crosscheck(
             return None, (domain, f"{type(exc).__name__}: {exc}")
 
     if jobs > 1:
+        # imported here: only a pooled survey pays for concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run, instances))
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, inf
 from operator import add, neg
 from typing import Iterable, Sequence
@@ -168,7 +168,12 @@ def _generate_positive_roots(cartan: Sequence[Sequence[int]]) -> list[Root]:
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable root data for one simple type; safe to share between threads."""
+    """Immutable root data for one simple type; safe to share between threads.
+
+    ``sum_partners`` (the root-addition table) and ``negatives`` are built on
+    first use and then kept on the instance; ``build_root_system`` builds
+    neither.
+    """
 
     type_label: str
     rank: int
@@ -184,6 +189,39 @@ class RootSystem:
         return tuple(
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         )
+
+    @cached_property
+    def sum_partners(self) -> dict[Root, tuple[tuple[Root, Root], ...]]:
+        """Each root ``a`` mapped to the pairs ``(b, a + b)`` over every root
+        ``b`` for which ``a + b`` is a root; both ``a`` and ``b`` run in
+        canonical (``root_key``) order.
+
+        Built on integer codes: a root codes as ``sum(c_i * B**i)`` with
+        ``B = 4 * max|c| + 1``.  A sum of two roots keeps every digit within
+        ``2 * max|c| < B / 2``, so codes add like roots and sort like
+        ``root_key``.
+        """
+        base = 4 * max(map(max, self.positive_roots)) + 1
+        by_code = {}
+        for root in self.roots:
+            code = 0
+            for c in reversed(root):
+                code = code * base + c
+            by_code[code] = root
+        ordered = sorted(by_code.items())
+        table = {}
+        for a_code, a in ordered:
+            table[a] = tuple(
+                (b, by_code[a_code + b_code])
+                for b_code, b in ordered
+                if a_code + b_code in by_code
+            )
+        return table
+
+    @cached_property
+    def negatives(self) -> dict[Root, Root]:
+        """Each root mapped to its negative."""
+        return {a: root_neg(a) for a in self.roots}
 
     def root_sum(self, a: Root, b: Root) -> Root | None:
         """Componentwise sum if it is again a root, else None."""

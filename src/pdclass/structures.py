@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import HermitianAnomaly, NotHermitian, TooLarge, ValidationFailed
 from .grading import HodgeGrading
@@ -50,13 +50,26 @@ class NewStructure:
 
 
 def _sums_outside(
-    rs: RootSystem, first: Iterable[Root], second: Iterable[Root], closed: frozenset[Root]
+    rs: RootSystem, first: frozenset[Root], second: frozenset[Root], closed: frozenset[Root]
 ) -> Iterator[tuple[Root, Root, Root]]:
     """Each ``(a, b, a + b)`` with ``a + b`` a root outside ``closed``, for a
-    from ``first`` and b from ``second``, both taken in canonical order."""
-    second = sorted(second, key=root_key)
+    from ``first`` and b from ``second``, both taken in canonical order.
+
+    When both sets hold roots only, this walks ``rs.sum_partners`` and
+    filters by membership: no sorting and no new tuples.  A non-root may
+    still sum with something to a root, so a set holding one takes the full
+    scan over every pair.
+    """
+    if first <= rs.roots and second <= rs.roots:
+        for a, partners in rs.sum_partners.items():
+            if a in first:
+                for b, t in partners:
+                    if b in second and t not in closed:
+                        yield a, b, t
+        return
+    ordered = sorted(second, key=root_key)
     for a in sorted(first, key=root_key):
-        for b in second:
+        for b in ordered:
             t = root_add(a, b)
             if t in rs.roots and t not in closed:
                 yield a, b, t
@@ -110,10 +123,16 @@ def validate_structure(
     provably equivalent; the checker recomputes both and raises
     ``ValidationFailed`` if they ever split, since that would contradict the
     equivalence rather than merely reject the candidate.
+
+    A candidate of roots only is checked on the root system's lookup
+    tables (``negatives`` and the ``sum_partners`` walk of
+    :func:`_sums_outside`); one holding a non-root takes the full pair
+    scan, with the same violations in the same order.
     """
     rs = g.root_system
     chosen = frozenset(tuple(a) for a in candidate)
-    negated = frozenset(map(root_neg, chosen))
+    negate = rs.negatives.__getitem__ if chosen <= rs.roots else root_neg
+    negated = frozenset(map(negate, chosen))
     violations: list[tuple[str, tuple]] = []
     outside = [a for a in chosen if a not in rs.roots or a in g.isotropy_roots]
     if outside:
@@ -143,7 +162,8 @@ def make_structure(g: HodgeGrading, candidate) -> ComplexStructure:
     if not ok:
         raise ValidationFailed(f"invalid structure: {violations[0]}")
     chosen = frozenset(tuple(a) for a in candidate)
-    parabolic = frozenset(map(root_neg, chosen)) | g.isotropy_roots
+    negatives = g.root_system.negatives
+    parabolic = frozenset(map(negatives.__getitem__, chosen)) | g.isotropy_roots
     return ComplexStructure(roots=chosen, parabolic_roots=parabolic)
 
 
@@ -209,11 +229,45 @@ def is_projection_holomorphic(
     return frozenset(a for a in cs.roots if a in g.noncompact_roots) == hs.minus_roots
 
 
+def _propagate(
+    g: HodgeGrading, index_of: dict[Root, int], assignment: dict[int, Root], queue: list[Root]
+) -> bool:
+    """Assign each queued root and every root it forces, in place; False
+    when a forced root meets its own negative or two assigned roots sum to
+    an isotropy root.
+
+    ``index_of`` maps each root outside the isotropy to the index of its
+    pair, and ``assignment`` maps a pair index to its chosen root.  Walks
+    only the ``sum_partners`` of the root just assigned: an isotropy partner
+    forces the sum, and so does an assigned partner, unless the sum is an
+    isotropy root.  Every pair of assigned roots is met once, when the later
+    one is assigned, so the outcome does not depend on the queue order.
+    """
+    partners = g.root_system.sum_partners
+    isotropy = g.isotropy_roots
+    while queue:
+        root = queue.pop()
+        i = index_of[root]
+        if i in assignment:
+            if assignment[i] != root:
+                return False
+            continue
+        assignment[i] = root
+        for b, t in partners[root]:
+            if b in isotropy:
+                queue.append(t)
+            elif assignment.get(index_of[b]) == b:
+                if t in isotropy:
+                    return False
+                queue.append(t)
+    return True
+
+
 def enumerate_structures(
     g: HodgeGrading, limit: int | None = None, max_pairs: int = 24
 ) -> tuple[tuple[ComplexStructure, ...], bool]:
     """All invariant structures, by backtracking over one sign choice per
-    root pair with eager constraint propagation.
+    root pair with eager constraint propagation (:func:`_propagate`).
 
     Pairs are visited in canonical order, positive representative first.
     Returns the structures in canonical sorted order plus a truncation flag
@@ -229,32 +283,8 @@ def enumerate_structures(
     for i, rep in enumerate(reps):
         index_of[rep] = i
         index_of[root_neg(rep)] = i
-    isotropy = sorted(g.isotropy_roots, key=root_key)
     found: list[frozenset[Root]] = []
     truncated = False
-
-    def propagate(assignment: dict[int, Root], queue: list[Root]) -> bool:
-        while queue:
-            root = queue.pop()
-            i = index_of[root]
-            if i in assignment:
-                if assignment[i] != root:
-                    return False
-                continue
-            assignment[i] = root
-            for v in isotropy:
-                t = root_add(v, root)
-                if t in rs.roots:
-                    queue.append(t)
-            for other in list(assignment.values()):
-                if other == root:
-                    continue
-                t = root_add(other, root)
-                if t in rs.roots:
-                    if t in g.isotropy_roots:
-                        return False
-                    queue.append(t)
-        return True
 
     def search(assignment: dict[int, Root]) -> bool:
         nonlocal truncated
@@ -269,7 +299,7 @@ def enumerate_structures(
             return True
         for candidate in (reps[next_index], root_neg(reps[next_index])):
             branch = dict(assignment)
-            if propagate(branch, [candidate]) and not search(branch):
+            if _propagate(g, index_of, branch, [candidate]) and not search(branch):
                 return False
         return True
 

@@ -8,8 +8,10 @@ deliberate exceptions are the references kept from earlier versions of the
 package, which must reproduce its output bit for bit: the Fraction simplex,
 which takes the same pivots as the integer tableau; the Fraction
 Gauss-Jordan nullspace, which gives the same compact-center basis as the
-integer elimination; and the round-by-round bracket closure, which gives the
-same trace as the semi-naive one.
+integer elimination; the round-by-round bracket closure, which gives the
+same trace as the semi-naive one; and the structure checks and enumeration
+that summed every pair of roots, which give the same violations, structures
+and order as the ones that read the root-addition table.
 
 This file also collects the acceptance-criterion outcomes and prints one
 PASS/FAIL line per criterion at the end of the run.
@@ -23,7 +25,9 @@ from math import gcd, lcm
 
 import pytest
 
+from pdclass.errors import TooLarge, ValidationFailed
 from pdclass.rootsys import build_root_system, root_add, root_key, root_neg
+from pdclass.structures import ComplexStructure
 
 ACCEPTANCE_TITLES = {
     1: "route agreement across the full sweep",
@@ -278,6 +282,141 @@ def reference_bracket_generation(g):
                     changed = True
     generates = all(b in current for b in g.noncompact_positive)
     return generates, tuple(trace)
+
+
+def reference_sums_outside(rs, first, second, closed):
+    """Each ``(a, b, a + b)`` with ``a + b`` a root outside ``closed``, for a
+    from ``first`` and b from ``second``, both taken in canonical order.
+
+    The package's pair scan before its root-addition table, kept verbatim as
+    a test-only reference: both inputs sorted on every call, every pair
+    summed into a new tuple."""
+    second = sorted(second, key=root_key)
+    for a in sorted(first, key=root_key):
+        for b in second:
+            t = root_add(a, b)
+            if t in rs.roots and t not in closed:
+                yield a, b, t
+
+
+def reference_validate_structure(g, candidate):
+    """The package's ``validate_structure`` before the root-addition table,
+    kept verbatim on top of ``reference_sums_outside``."""
+    rs = g.root_system
+    chosen = frozenset(tuple(a) for a in candidate)
+    negated = frozenset(map(root_neg, chosen))
+    violations = []
+    outside = [a for a in chosen if a not in rs.roots or a in g.isotropy_roots]
+    if outside:
+        violations.append(("universe", tuple(sorted(outside, key=root_key))))
+    if chosen | negated != rs.roots - g.isotropy_roots or chosen & negated:
+        violations.append(("half_selection", ()))
+    violations.extend(
+        ("isotropy_invariance", escape)
+        for escape in reference_sums_outside(rs, g.isotropy_roots, chosen, chosen)
+    )
+    escapes = list(reference_sums_outside(rs, chosen, chosen, chosen))
+    violations.extend(("sum_closure", escape) for escape in escapes)
+    strong_ok = not escapes
+    weak_ok = all(t in g.isotropy_roots for _, _, t in escapes)
+    others_ok = not any(v[0] in ("half_selection", "isotropy_invariance") for v in violations)
+    if others_ok and not outside and weak_ok and not strong_ok:
+        raise ValidationFailed(
+            "weak and strong closure disagree on an otherwise valid candidate"
+        )
+    return not violations, tuple(violations)
+
+
+def reference_make_structure(g, candidate):
+    """The package's ``make_structure`` on ``reference_validate_structure``."""
+    ok, violations = reference_validate_structure(g, candidate)
+    if not ok:
+        raise ValidationFailed(f"invalid structure: {violations[0]}")
+    chosen = frozenset(tuple(a) for a in candidate)
+    parabolic = frozenset(map(root_neg, chosen)) | g.isotropy_roots
+    return ComplexStructure(roots=chosen, parabolic_roots=parabolic)
+
+
+def reference_positive_system_of(g, cs):
+    """The package's ``positive_system_of`` on ``reference_sums_outside``."""
+    rs = g.root_system
+    isotropy_positive = frozenset(
+        a for a in rs.positive_roots if a in g.isotropy_roots
+    )
+    positive = cs.roots | isotropy_positive
+    negated = frozenset(map(root_neg, positive))
+    if positive | negated != rs.roots or positive & negated:
+        raise ValidationFailed("structure does not induce a half-system")
+    for p1, p2, _ in reference_sums_outside(rs, positive, positive, positive):
+        raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
+    sums = rs.root_set_sum(positive, positive)
+    simples = tuple(p for p in sorted(positive, key=root_key) if p not in sums)
+    return positive, simples
+
+
+def reference_enumerate_structures(g, limit=None, max_pairs=24):
+    """The package's ``enumerate_structures`` before the root-addition table,
+    kept verbatim (with this file's reference validation in place of the
+    package's ``make_structure``): propagation sums each new root with every
+    isotropy root and every root assigned so far."""
+    rs = g.root_system
+    reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
+    if len(reps) > max_pairs:
+        raise TooLarge(f"{len(reps)} root pairs exceeds the bound {max_pairs}")
+    index_of = {}
+    for i, rep in enumerate(reps):
+        index_of[rep] = i
+        index_of[root_neg(rep)] = i
+    isotropy = sorted(g.isotropy_roots, key=root_key)
+    found = []
+    truncated = False
+
+    def propagate(assignment, queue):
+        while queue:
+            root = queue.pop()
+            i = index_of[root]
+            if i in assignment:
+                if assignment[i] != root:
+                    return False
+                continue
+            assignment[i] = root
+            for v in isotropy:
+                t = root_add(v, root)
+                if t in rs.roots:
+                    queue.append(t)
+            for other in list(assignment.values()):
+                if other == root:
+                    continue
+                t = root_add(other, root)
+                if t in rs.roots:
+                    if t in g.isotropy_roots:
+                        return False
+                    queue.append(t)
+        return True
+
+    def search(assignment):
+        nonlocal truncated
+        if truncated:
+            return False
+        next_index = next((i for i in range(len(reps)) if i not in assignment), None)
+        if next_index is None:
+            if limit is not None and len(found) >= limit:
+                truncated = True
+                return False
+            found.append(frozenset(assignment.values()))
+            return True
+        for candidate in (reps[next_index], root_neg(reps[next_index])):
+            branch = dict(assignment)
+            if propagate(branch, [candidate]) and not search(branch):
+                return False
+        return True
+
+    search({})
+    structures = tuple(
+        reference_make_structure(g, chosen)
+        for chosen in sorted(found, key=lambda s: tuple(sorted(s, key=root_key)))
+    )
+    return structures, truncated
 
 
 def brute_force_structures(grading):

@@ -281,6 +281,14 @@ class TestSimpleNoncompactDecomposition:
 
 
 class TestClassify:
+    def test_never_builds_the_structure_tables(self):
+        # the routes must not share the tables the structures layer reads
+        for type_label, rank, labels in EXCEPTIONAL_SAMPLE:
+            rs = build_root_system.__wrapped__(type_label, rank)
+            classify(make_grading(rs, labels))
+            assert "sum_partners" not in rs.__dict__
+            assert "negatives" not in rs.__dict__
+
     def test_nonclassical_hermitian_report(self, c2):
         report = classify(make_grading(c2, (1, 1)))
         assert report.domain_text == "C2/1,1"

@@ -321,6 +321,19 @@ class TestSurveyCommand:
         )
         assert serial == threaded
 
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        # only a survey with jobs > 1 imports concurrent.futures
+        script = "import sys, pdclass.cli; print('concurrent.futures' in sys.modules)"
+        src = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "survey.csv"
         code, out, _ = run_cli(

@@ -391,3 +391,22 @@ class TestOptimizedMode:
             if isinstance(node, ast.Assert) or raises_assertion_error(node)
         ]
         assert asserts == []
+
+    def test_scripts_have_no_assert_statements(self):
+        # the same check over scripts/*.py, whose checks must survive -O too
+        def raises_assertion_error(node):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                return False
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        paths = sorted(scripts.glob("*.py"))
+        assert paths
+        asserts = [
+            f"{path.name}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert) or raises_assertion_error(node)
+        ]
+        assert asserts == []

@@ -10,7 +10,9 @@ from pdclass.rootsys import (
     build_root_system,
     cartan_matrix,
     expected_root_count,
+    root_add,
     root_key,
+    root_neg,
     verify_triple_sum_reduction,
 )
 
@@ -54,6 +56,35 @@ def test_counts_and_reflection_closure(type_label, rank):
     assert len(rs.roots) == expected_root_count(type_label, rank)
     assert rs.roots == reflection_closure_roots(rs.cartan)
     assert len(rs.positive_roots) * 2 == len(rs.roots)
+
+
+TABLE_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [(t, n) for t in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("type_label,rank", TABLE_SYSTEMS)
+def test_sum_partners_match_pairwise_sums(type_label, rank):
+    # a fresh, uncached system: the build leaves the table for first use
+    rs = build_root_system.__wrapped__(type_label, rank)
+    assert "sum_partners" not in rs.__dict__
+    ordered = sorted(rs.roots, key=root_key)
+    expected = [
+        (a, tuple((b, root_add(a, b)) for b in ordered if root_add(a, b) in rs.roots))
+        for a in ordered
+    ]
+    assert list(rs.sum_partners.items()) == expected
+    assert rs.__dict__["sum_partners"] is rs.sum_partners
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 1), ("C", 4), ("G", 2), ("E", 8)])
+def test_negatives(type_label, rank):
+    rs = build_root_system.__wrapped__(type_label, rank)
+    assert "negatives" not in rs.__dict__
+    assert rs.negatives == {a: root_neg(a) for a in rs.roots}
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("X", 2)])

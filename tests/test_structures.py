@@ -1,7 +1,9 @@
 """Tests for the Hermitian splitting, the new structure, and enumeration."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +20,21 @@ from pdclass.structures import (
     parabolic_of,
     positive_system_of,
     validate_structure,
+    _propagate,
+    _sums_outside,
 )
 
-from conftest import SWEEP_SYSTEMS, brute_force_structures, sweep_label_vectors
+from conftest import (
+    EXCEPTIONAL_SAMPLE,
+    SWEEP_SYSTEMS,
+    brute_force_structures,
+    reference_enumerate_structures,
+    reference_make_structure,
+    reference_positive_system_of,
+    reference_sums_outside,
+    reference_validate_structure,
+    sweep_label_vectors,
+)
 
 
 def hermitian_gradings(max_rank=3):
@@ -32,6 +46,37 @@ def hermitian_gradings(max_rank=3):
             g = make_grading(rs, labels)
             if g.compact_center()[0] == 1:
                 yield g
+
+
+@lru_cache(maxsize=None)
+def hermitian_sweep():
+    """The 214 Hermitian-type gradings of the sweep systems (rank <= 4)."""
+    return tuple(hermitian_gradings(max_rank=4))
+
+
+@lru_cache(maxsize=None)
+def hermitian_exceptional():
+    """The Hermitian-type E6 and E7 gradings of the exceptional sample."""
+    gradings = (
+        make_grading(build_root_system(t, r), labels)
+        for t, r, labels in EXCEPTIONAL_SAMPLE
+        if r in (6, 7)
+    )
+    return tuple(g for g in gradings if hermitian_splitting(g) is not None)
+
+
+def sign_vectors(g):
+    reps = [a for a in g.root_system.positive_roots if a not in g.isotropy_roots]
+    for signs in itertools.product((1, -1), repeat=len(reps)):
+        yield frozenset(tuple(s * x for x in rep) for s, rep in zip(signs, reps))
+
+
+def validation_outcome(validate, g, candidate):
+    """``(ok, violations)``, or the message of a ``ValidationFailed``."""
+    try:
+        return validate(g, candidate)
+    except ValidationFailed as exc:
+        return "raised", str(exc)
 
 
 class TestHermitianSplitting:
@@ -129,13 +174,7 @@ class TestValidateStructure:
         for rs, labels in ((c2, (1, 1)), (c2, (0, 1)), (g2, (1, 0))):
             g = make_grading(rs, labels)
             expected = brute_force_structures(g)
-            reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
-            import itertools
-
-            for signs in itertools.product((1, -1), repeat=len(reps)):
-                chosen = frozenset(
-                    tuple(s * x for x in rep) for s, rep in zip(signs, reps)
-                )
+            for chosen in sign_vectors(g):
                 ok, _ = validate_structure(g, chosen)
                 assert ok == (chosen in expected)
 
@@ -349,6 +388,51 @@ def hermitian_case(draw):
     return draw(st.sampled_from(cases))
 
 
+def forced_closure(g, roots):
+    """(ok, closure): the least set holding ``roots`` that is closed under
+    adding isotropy roots and under sums of two members; ok when it holds
+    no pair {a, -a} and no two members sum to an isotropy root."""
+    rs = g.root_system
+    closed = frozenset(roots)
+    while True:
+        sums = rs.roots & {
+            tuple(x + y for x, y in zip(a, b))
+            for a in closed
+            for b in closed | g.isotropy_roots
+        }
+        if sums & g.isotropy_roots:
+            return False, closed
+        if sums <= closed:
+            return not any(tuple(-x for x in a) in closed for a in closed), closed
+        closed |= sums
+
+
+class TestPropagation:
+    def test_forces_the_closure(self):
+        # one root, then a second on top: the assignment is the closure of
+        # what was queued, or the propagation fails exactly when it is bad
+        for g in hermitian_gradings(max_rank=3):
+            rs = g.root_system
+            reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
+            index_of = {a: i for i, rep in enumerate(reps) for a in (rep, tuple(-x for x in rep))}
+            outside = sorted(rs.roots - g.isotropy_roots, key=root_key)
+            for first in outside:
+                assignment = {}
+                ok = _propagate(g, index_of, assignment, [first])
+                expected_ok, expected = forced_closure(g, [first])
+                assert ok == expected_ok
+                if not ok:
+                    continue
+                assert frozenset(assignment.values()) == expected
+                for second in outside:
+                    branch = dict(assignment)
+                    ok = _propagate(g, index_of, branch, [second])
+                    expected_ok, expected = forced_closure(g, [first, second])
+                    assert ok == expected_ok, (g.labels, first, second)
+                    if ok:
+                        assert frozenset(branch.values()) == expected
+
+
 class TestProperties:
     @settings(deadline=None, max_examples=25)
     @given(hermitian_case())
@@ -367,3 +451,103 @@ class TestProperties:
             | ns.splitting.plus_roots
             | g.isotropy_roots
         )
+
+
+@st.composite
+def mixed_candidate(draw):
+    """A grading and a candidate that starts from a valid structure and mixes
+    in roots, non-roots (short and long vectors too), the zero vector,
+    isotropy roots, both members of a pair and repeated entries."""
+    g = draw(st.sampled_from(hermitian_sweep()))
+    rs = g.root_system
+    roots = sorted(rs.roots, key=root_key)
+    start = sorted(new_complex_structure(g).structure.roots, key=root_key)
+    kept = draw(st.lists(st.sampled_from(start), unique=True))
+    entries = list(kept) + draw(st.lists(st.sampled_from(roots), max_size=4))
+    coefficient = st.integers(-3, 3)
+    for size in (rs.rank, rs.rank - 1, rs.rank + 1):
+        vectors = st.tuples(*[coefficient] * size)
+        entries += draw(st.lists(vectors, max_size=2 if size == rs.rank else 1))
+    if draw(st.booleans()):
+        entries.append((0,) * rs.rank)
+    if g.isotropy_roots:
+        isotropy = sorted(g.isotropy_roots, key=root_key)
+        entries += draw(st.lists(st.sampled_from(isotropy), max_size=2))
+    for a in draw(st.lists(st.sampled_from(roots), max_size=2)):
+        entries += [a, tuple(-x for x in a)]
+    if entries:
+        entries += draw(st.lists(st.sampled_from(entries), max_size=3))
+    return g, draw(st.permutations(entries))
+
+
+class TestReferenceAgreement:
+    """Identical output to the pair scans kept in conftest.py."""
+
+    def test_every_sign_vector(self):
+        checked = 0
+        for g in hermitian_sweep():
+            if len(g.tangent_roots) > 9:
+                continue
+            for chosen in sign_vectors(g):
+                assert validation_outcome(validate_structure, g, chosen) == (
+                    validation_outcome(reference_validate_structure, g, chosen)
+                ), (g.labels, sorted(chosen))
+                checked += 1
+        assert checked == 29490
+
+    def test_sums_outside_on_structure_sets(self):
+        for g in hermitian_sweep() + hermitian_exceptional():
+            rs = g.root_system
+            cs = new_complex_structure(g).structure
+            positive, _ = positive_system_of(g, cs)
+            empty = frozenset()
+            for first, second, closed in (
+                (g.isotropy_roots, cs.roots, cs.roots),
+                (cs.roots, cs.roots, cs.roots),
+                (cs.parabolic_roots, cs.parabolic_roots, cs.parabolic_roots),
+                (positive, positive, positive),
+                (cs.parabolic_roots, cs.roots, empty),
+                (rs.roots, g.noncompact_roots, g.isotropy_roots),
+            ):
+                assert list(_sums_outside(rs, first, second, closed)) == list(
+                    reference_sums_outside(rs, first, second, closed)
+                )
+
+    def test_new_structure_and_positive_system(self):
+        for g in hermitian_sweep() + hermitian_exceptional():
+            ns = new_complex_structure(g)
+            expected = reference_make_structure(
+                g, frozenset(g.fiber_roots) | ns.splitting.minus_roots
+            )
+            assert ns.structure.roots == expected.roots
+            assert ns.structure.parabolic_roots == expected.parabolic_roots
+            assert validate_structure(g, ns.structure.roots) == (True, ())
+            assert positive_system_of(g, ns.structure) == (
+                reference_positive_system_of(g, ns.structure)
+            )
+
+    def test_enumeration(self):
+        for g in hermitian_sweep():
+            structures, truncated = enumerate_structures(g)
+            expected, expected_truncated = reference_enumerate_structures(g)
+            assert truncated == expected_truncated
+            assert [(cs.roots, cs.parabolic_roots) for cs in structures] == [
+                (cs.roots, cs.parabolic_roots) for cs in expected
+            ]
+
+    def test_enumeration_with_limit(self):
+        for g in hermitian_sweep()[::20]:
+            for limit in (1, 2, 5):
+                structures, truncated = enumerate_structures(g, limit=limit)
+                expected, expected_truncated = reference_enumerate_structures(g, limit=limit)
+                assert truncated == expected_truncated
+                assert [cs.roots for cs in structures] == [cs.roots for cs in expected]
+
+    @settings(deadline=None, max_examples=300)
+    @given(mixed_candidate())
+    def test_mixed_candidates(self, case):
+        g, entries = case
+        for candidate in (entries, [list(a) for a in entries], set(entries)):
+            assert validation_outcome(validate_structure, g, candidate) == (
+                validation_outcome(reference_validate_structure, g, candidate)
+            )
