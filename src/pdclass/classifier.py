@@ -182,8 +182,7 @@ def verify_compact_from_noncompact(g: HodgeGrading) -> bool:
     sums = rs.root_set_sum(g.noncompact_roots, g.noncompact_roots)
     if not g.compact_roots <= sums:
         return False
-    rows = sorted(g.noncompact_positive, key=root_key)
-    return len(rational_nullspace(rows, rs.rank)) == 0
+    return len(rational_nullspace(g.noncompact_positive, rs.rank)) == 0
 
 
 def verify_simple_noncompact_decomposition(g: HodgeGrading) -> bool:

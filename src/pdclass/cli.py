@@ -263,16 +263,15 @@ def curvature_payload(g: HodgeGrading, weight) -> dict:
 
 
 def render_curvature_text(g: HodgeGrading, weight) -> str:
-    signature, eigenvalues = curvature_signature(g, weight)
-    q = sign_violations(g, weight)
+    payload = curvature_payload(g, weight)
     rs = g.root_system
     lines = [
         "domain " + domain_text(rs.type_label, rs.rank, g.labels),
-        "weight " + ",".join(str(x) for x in weight),
-        "eigenvalues " + ",".join(str(x) for x in eigenvalues),
-        f"signature ({signature[0]},{signature[1]},{signature[2]})",
-        f"q {q}",
-        f"predicts_vanishing {_flag_text(predicts_vanishing(g, weight))}",
+        "weight " + ",".join(payload["weight"]),
+        "eigenvalues " + ",".join(payload["eigenvalues"]),
+        "signature ({},{},{})".format(*payload["signature"]),
+        f"q {payload['q']}",
+        f"predicts_vanishing {_flag_text(payload['predicts_vanishing'])}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .cone import _coprime_integers
 from .errors import CompactForm, InternalInconsistency, LabelOutOfRange
-from .rootsys import Root, RootSystem, root_add, root_key, root_neg
+from .rootsys import Root, RootSystem, root_add, root_neg
 
 CenterBasis = tuple[tuple[int, ...], ...]
 
@@ -181,7 +181,7 @@ def make_grading(rs: RootSystem, labels: Sequence[int]) -> HodgeGrading:
         raise InternalInconsistency(f"label 1 present but no noncompact root: {labels}")
     if isotropy != frozenset(map(root_neg, isotropy)):
         raise InternalInconsistency(f"isotropy roots not closed under negation: {labels}")
-    center = rational_nullspace(sorted(compact_positive, key=root_key), rs.rank)
+    center = rational_nullspace(compact_positive, rs.rank)
     return HodgeGrading(
         root_system=rs,
         labels=labels,

@@ -172,7 +172,9 @@ class RootSystem:
 
     ``sum_partners`` (the root-addition table) and ``negatives`` are built on
     first use and then kept on the instance; ``build_root_system`` builds
-    neither.
+    neither.  Only the structures layer and the triple-sum lemma read them:
+    the classify path sums its own tuples, so a fault in a table cannot make
+    its routes agree wrongly.
     """
 
     type_label: str
@@ -222,11 +224,6 @@ class RootSystem:
     def negatives(self) -> dict[Root, Root]:
         """Each root mapped to its negative."""
         return {a: root_neg(a) for a in self.roots}
-
-    def root_sum(self, a: Root, b: Root) -> Root | None:
-        """Componentwise sum if it is again a root, else None."""
-        s = root_add(a, b)
-        return s if s in self.roots else None
 
     def coroot_pairing(self, beta: Root, i: int) -> int:
         """Exact integer ``<beta, alpha_i^vee>`` (0-indexed simple root)."""
@@ -301,24 +298,20 @@ def verify_triple_sum_reduction(
     Triples with beta == -alpha or gamma == -alpha are excluded; the exclusion
     is load-bearing, and ``include_degenerate=True`` drops it to exhibit the
     failures (rank A2 already produces some).  Returns (holds, violations).
+
+    Walks ``rs.sum_partners``: each beta in canonical order, each partner
+    gamma with delta = beta + gamma, then each alpha with alpha + delta a
+    root, so the violations come in canonical (beta, gamma, alpha) order.
     """
-    roots = sorted(rs.roots, key=root_key)
-    summand_pairs: list[tuple[Root, Root, Root]] = []
-    for beta in roots:
-        for gamma in roots:
-            s = root_add(beta, gamma)
-            if s in rs.roots:
-                summand_pairs.append((beta, gamma, s))
-    adders: dict[Root, list[Root]] = {}
-    for delta in rs.roots:
-        adders[delta] = [alpha for alpha in roots if root_add(alpha, delta) in rs.roots]
+    partners = rs.sum_partners
     violations: list[tuple[Root, Root, Root]] = []
-    for beta, gamma, delta in summand_pairs:
-        degenerate = (root_neg(beta), root_neg(gamma))
-        for alpha in adders[delta]:
-            if not include_degenerate and alpha in degenerate:
-                continue
-            if root_add(alpha, beta) in rs.roots or root_add(alpha, gamma) in rs.roots:
-                continue
-            violations.append((alpha, beta, gamma))
+    for beta, beta_partners in partners.items():
+        for gamma, delta in beta_partners:
+            degenerate = (root_neg(beta), root_neg(gamma))
+            for alpha, _ in partners[delta]:
+                if not include_degenerate and alpha in degenerate:
+                    continue
+                if root_add(alpha, beta) in rs.roots or root_add(alpha, gamma) in rs.roots:
+                    continue
+                violations.append((alpha, beta, gamma))
     return (not violations, tuple(violations))

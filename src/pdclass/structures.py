@@ -205,7 +205,9 @@ def positive_system_of(
     g: HodgeGrading, cs: ComplexStructure
 ) -> tuple[frozenset[Root], tuple[Root, ...]]:
     """The structure's root set together with the positive isotropy roots is
-    a positive system; returns it with its indecomposable (simple) elements."""
+    a positive system; returns it with its indecomposable (simple) elements.
+    One walk over the sums of two of its roots checks closure (raising at
+    the first sum outside the set) and collects the decomposable ones."""
     rs = g.root_system
     isotropy_positive = frozenset(
         a for a in rs.positive_roots if a in g.isotropy_roots
@@ -214,9 +216,11 @@ def positive_system_of(
     negated = frozenset(map(root_neg, positive))
     if positive | negated != rs.roots or positive & negated:
         raise ValidationFailed("structure does not induce a half-system")
-    for p1, p2, _ in _sums_outside(rs, positive, positive, positive):
-        raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
-    sums = rs.root_set_sum(positive, positive)
+    sums = set()
+    for p1, p2, t in _sums_outside(rs, positive, positive, frozenset()):
+        if t not in positive:
+            raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
+        sums.add(t)
     simples = tuple(p for p in sorted(positive, key=root_key) if p not in sums)
     return positive, simples
 

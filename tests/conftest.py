@@ -9,9 +9,10 @@ package, which must reproduce its output bit for bit: the Fraction simplex,
 which takes the same pivots as the integer tableau; the Fraction
 Gauss-Jordan nullspace, which gives the same compact-center basis as the
 integer elimination; the round-by-round bracket closure, which gives the
-same trace as the semi-naive one; and the structure checks and enumeration
-that summed every pair of roots, which give the same violations, structures
-and order as the ones that read the root-addition table.
+same trace as the semi-naive one; and the structure checks, the enumeration
+and the triple-sum lemma that summed every pair of roots, which give the
+same violations, structures and order as the ones that read the
+root-addition table.
 
 This file also collects the acceptance-criterion outcomes and prints one
 PASS/FAIL line per criterion at the end of the run.
@@ -417,6 +418,32 @@ def reference_enumerate_structures(g, limit=None, max_pairs=24):
         for chosen in sorted(found, key=lambda s: tuple(sorted(s, key=root_key)))
     )
     return structures, truncated
+
+
+def reference_triple_sum_reduction(rs, include_degenerate=False):
+    """The package's ``verify_triple_sum_reduction`` before it read the
+    root-addition table, kept verbatim: it builds its own lists of summand
+    pairs and adders from tuple sums."""
+    roots = sorted(rs.roots, key=root_key)
+    summand_pairs = []
+    for beta in roots:
+        for gamma in roots:
+            s = root_add(beta, gamma)
+            if s in rs.roots:
+                summand_pairs.append((beta, gamma, s))
+    adders = {}
+    for delta in rs.roots:
+        adders[delta] = [alpha for alpha in roots if root_add(alpha, delta) in rs.roots]
+    violations = []
+    for beta, gamma, delta in summand_pairs:
+        degenerate = (root_neg(beta), root_neg(gamma))
+        for alpha in adders[delta]:
+            if not include_degenerate and alpha in degenerate:
+                continue
+            if root_add(alpha, beta) in rs.roots or root_add(alpha, gamma) in rs.roots:
+                continue
+            violations.append((alpha, beta, gamma))
+    return (not violations, tuple(violations))
 
 
 def brute_force_structures(grading):

@@ -1,11 +1,14 @@
 """Tests for the three classicality routes, curvature counts, and reports."""
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdclass
 from pdclass.classifier import (
     bracket_generation,
     classify,
@@ -288,6 +291,49 @@ class TestClassify:
             classify(make_grading(rs, labels))
             assert "sum_partners" not in rs.__dict__
             assert "negatives" not in rs.__dict__
+
+    def test_only_structures_and_rootsys_read_the_tables(self):
+        # the static side of the test above, over every module: no other
+        # module reads the tables, and in structures.py the Hermitian
+        # splitting neither reads them nor calls a function that does
+        tables = {"sum_partners", "negatives"}
+
+        def reads_table(node):
+            return any(
+                isinstance(n, ast.Attribute) and n.attr in tables
+                or isinstance(n, ast.Constant) and n.value in tables
+                for n in ast.walk(node)
+            )
+
+        package = Path(pdclass.__file__).parent
+        trees = {
+            path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))
+        }
+        assert {"rootsys.py", "structures.py", "classifier.py"} <= trees.keys()
+        others = [
+            name for name, tree in trees.items()
+            if name not in ("rootsys.py", "structures.py") and reads_table(tree)
+        ]
+        assert others == []
+        functions = {
+            node.name: node
+            for node in trees["structures.py"].body
+            if isinstance(node, ast.FunctionDef)
+        }
+        calls = {
+            name: {
+                n.func.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            }
+            for name, node in functions.items()
+        }
+        readers = {name for name, node in functions.items() if reads_table(node)}
+        while more := {name for name in functions if calls[name] & readers} - readers:
+            readers |= more
+        assert "_sums_outside" in readers
+        assert "hermitian_splitting" not in readers
 
     def test_nonclassical_hermitian_report(self, c2):
         report = classify(make_grading(c2, (1, 1)))

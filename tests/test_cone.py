@@ -274,6 +274,22 @@ class TestEliminationOracleAgreement:
             assert any(decision.witness)
             assert sys.contains(decision.witness)
 
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(-5, 5) for _ in range(5)]), min_size=1, max_size=7
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_dimension_five_systems_match_oracle(self, normals):
+        # elimination grows doubly exponentially: dimension 5 with at most 7
+        # normals stays within milliseconds, dimension 6 with 8 takes seconds
+        sys = make_cone_system(normals)
+        decision = decide_cone(sys)
+        assert decision.trivial == (not cone_has_nonzero_point(normals, 5))
+        if not decision.trivial:
+            assert sys.contains(decision.witness)
+        assert_matches_reference(sys)
+
 
 # rank 4 and exceptional gradings, classical and not, for the slow reference
 REFERENCE_SAMPLE = [
@@ -320,6 +336,24 @@ class TestReferenceSimplexAgreement:
     )
     @settings(max_examples=150, deadline=None)
     def test_random_rational_systems(self, normals):
+        assert_matches_reference(make_cone_system(normals))
+
+    @given(
+        st.integers(min_value=5, max_value=8).flatmap(
+            lambda dim: st.lists(
+                st.one_of(
+                    st.just((0,) * dim), st.tuples(*[_entry for _ in range(dim)])
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_e_sized_systems(self, normals):
+        # the ranks of E6-E8 and one below; the elimination oracle is left
+        # to dimension 5 (TestEliminationOracleAgreement), since at
+        # dimension 6 and up it can take seconds to minutes per system
         assert_matches_reference(make_cone_system(normals))
 
 

@@ -16,7 +16,11 @@ from pdclass.rootsys import (
     verify_triple_sum_reduction,
 )
 
-from conftest import SWEEP_SYSTEMS, reflection_closure_roots
+from conftest import (
+    SWEEP_SYSTEMS,
+    reference_triple_sum_reduction,
+    reflection_closure_roots,
+)
 
 ALL_SYSTEMS = SWEEP_SYSTEMS + [("E", 6), ("E", 7), ("E", 8), ("A", 7), ("B", 5), ("C", 5), ("D", 5)]
 
@@ -110,13 +114,6 @@ def test_pairing_values_c2(c2):
         c2.pairing((1, 0, 0), (1, 0))
 
 
-def test_root_sum(c2):
-    assert c2.root_sum((1, 0), (0, 1)) == (1, 1)
-    assert c2.root_sum((1, 0), (1, 1)) == (2, 1)
-    assert c2.root_sum((0, 1), (0, 1)) is None
-    assert c2.root_sum((1, 0), (-1, 0)) is None
-
-
 def test_root_set_sum(c2):
     out = c2.root_set_sum({(1, 0), (0, 1)}, {(1, 0), (0, 1)})
     assert out == frozenset({(1, 1)})
@@ -203,8 +200,27 @@ def test_triple_sum_reduction_degenerate_mode(a2):
         assert beta == tuple(-x for x in alpha) or gamma == tuple(-x for x in alpha)
 
 
+@pytest.mark.parametrize("type_label,rank", TABLE_SYSTEMS)
+def test_triple_sum_reduction_matches_reference(type_label, rank):
+    # fresh, uncached systems, so the table is built by the lemma itself
+    rs = build_root_system.__wrapped__(type_label, rank)
+    assert verify_triple_sum_reduction(rs) == reference_triple_sum_reduction(rs)
+    if rank <= 6:
+        rs = build_root_system.__wrapped__(type_label, rank)
+        assert verify_triple_sum_reduction(
+            rs, include_degenerate=True
+        ) == reference_triple_sum_reduction(rs, include_degenerate=True)
+
+
 def test_root_key_order(c2):
     assert sorted(c2.positive_roots, key=root_key) == [(1, 0), (0, 1), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("type_label,rank", TABLE_SYSTEMS)
+def test_positive_roots_in_canonical_order(type_label, rank):
+    # make_grading and verify_compact_from_noncompact rely on this order
+    rs = build_root_system(type_label, rank)
+    assert rs.positive_roots == tuple(sorted(rs.positive_roots, key=root_key))
 
 
 def test_build_is_cached():

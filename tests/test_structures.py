@@ -12,6 +12,7 @@ from pdclass.errors import NotHermitian, TooLarge, ValidationFailed
 from pdclass.grading import make_grading
 from pdclass.rootsys import build_root_system, root_key
 from pdclass.structures import (
+    ComplexStructure,
     enumerate_structures,
     hermitian_splitting,
     is_projection_holomorphic,
@@ -525,6 +526,21 @@ class TestReferenceAgreement:
             assert positive_system_of(g, ns.structure) == (
                 reference_positive_system_of(g, ns.structure)
             )
+
+    def test_positive_system_of_unvalidated_sign_vectors(self):
+        # most sign vectors are not closed under sums: the same first sum
+        # outside the set must raise, and a closed one give the same simples
+        checked = raised = 0
+        for g in hermitian_sweep():
+            if len(g.tangent_roots) > 7:
+                continue
+            for chosen in sign_vectors(g):
+                cs = ComplexStructure(roots=chosen, parabolic_roots=frozenset())
+                outcome = validation_outcome(positive_system_of, g, cs)
+                assert outcome == validation_outcome(reference_positive_system_of, g, cs)
+                checked += 1
+                raised += outcome[0] == "raised"
+        assert (checked, raised) == (2610, 1998)
 
     def test_enumeration(self):
         for g in hermitian_sweep():
