@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf
 from operator import add, neg
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInconsistency, InvalidTypeRank
 
@@ -166,15 +166,35 @@ def _generate_positive_roots(cartan: Sequence[Sequence[int]]) -> list[Root]:
     return sorted(found, key=root_key)
 
 
+class RootTable(NamedTuple):
+    """The root-addition table of one system.  Roots are numbered in
+    canonical (``root_key``) order, and every entry is a root index:
+    ``roots[i]`` is root ``i`` and ``index`` inverts that, ``negative[i]``
+    is the index of its negative, and ``partners[i]`` lists the pairs
+    ``(j, k)`` with ``roots[i] + roots[j] == roots[k]``, ``j`` ascending.
+
+    ``shifts[i]`` groups the same pairs by their offset ``d = k - j``, as
+    ``(d, bitmask of their k)``, so that the sums of root i with a whole
+    bitmask of roots come out of one shift per offset.  The negative roots
+    come first, so ``d`` is positive exactly when root i is.
+    """
+
+    roots: tuple[Root, ...]
+    index: dict[Root, int]
+    negative: tuple[int, ...]
+    partners: tuple[tuple[tuple[int, int], ...], ...]
+    shifts: tuple[tuple[tuple[int, int], ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Immutable root data for one simple type; safe to share between threads.
 
-    ``sum_partners`` (the root-addition table) and ``negatives`` are built on
-    first use and then kept on the instance; ``build_root_system`` builds
-    neither.  Only the structures layer and the triple-sum lemma read them:
-    the classify path sums its own tuples, so a fault in a table cannot make
-    its routes agree wrongly.
+    ``root_table`` (the root-addition table) is built on first use and then
+    kept on the instance; ``build_root_system`` does not build it.  Only the
+    structures layer and the triple-sum lemma read it: the classify path
+    sums its own tuples, so a fault in the table cannot make its routes
+    agree wrongly.
     """
 
     type_label: str
@@ -193,15 +213,13 @@ class RootSystem:
         )
 
     @cached_property
-    def sum_partners(self) -> dict[Root, tuple[tuple[Root, Root], ...]]:
-        """Each root ``a`` mapped to the pairs ``(b, a + b)`` over every root
-        ``b`` for which ``a + b`` is a root; both ``a`` and ``b`` run in
-        canonical (``root_key``) order.
+    def root_table(self) -> RootTable:
+        """The :class:`RootTable` of this system.
 
         Built on integer codes: a root codes as ``sum(c_i * B**i)`` with
         ``B = 4 * max|c| + 1``.  A sum of two roots keeps every digit within
-        ``2 * max|c| < B / 2``, so codes add like roots and sort like
-        ``root_key``.
+        ``2 * max|c| < B / 2``, so codes add like roots, negate like roots
+        and sort like ``root_key``.
         """
         base = 4 * max(map(max, self.positive_roots)) + 1
         by_code = {}
@@ -210,20 +228,26 @@ class RootSystem:
             for c in reversed(root):
                 code = code * base + c
             by_code[code] = root
-        ordered = sorted(by_code.items())
-        table = {}
-        for a_code, a in ordered:
-            table[a] = tuple(
-                (b, by_code[a_code + b_code])
-                for b_code, b in ordered
-                if a_code + b_code in by_code
-            )
-        return table
-
-    @cached_property
-    def negatives(self) -> dict[Root, Root]:
-        """Each root mapped to its negative."""
-        return {a: root_neg(a) for a in self.roots}
+        codes = sorted(by_code)
+        at = {code: i for i, code in enumerate(codes)}
+        roots = tuple(map(by_code.__getitem__, codes))
+        partners = tuple(
+            tuple((j, at[a + b]) for j, b in enumerate(codes) if a + b in at)
+            for a in codes
+        )
+        shifts = []
+        for pairs in partners:
+            sums: dict[int, int] = {}
+            for j, k in pairs:
+                sums[k - j] = sums.get(k - j, 0) | 1 << k
+            shifts.append(tuple(sums.items()))
+        return RootTable(
+            roots=roots,
+            index={root: i for i, root in enumerate(roots)},
+            negative=tuple(at[-code] for code in codes),
+            partners=partners,
+            shifts=tuple(shifts),
+        )
 
     def coroot_pairing(self, beta: Root, i: int) -> int:
         """Exact integer ``<beta, alpha_i^vee>`` (0-indexed simple root)."""
@@ -299,19 +323,22 @@ def verify_triple_sum_reduction(
     is load-bearing, and ``include_degenerate=True`` drops it to exhibit the
     failures (rank A2 already produces some).  Returns (holds, violations).
 
-    Walks ``rs.sum_partners``: each beta in canonical order, each partner
+    Walks ``rs.root_table``: each beta in canonical order, each partner
     gamma with delta = beta + gamma, then each alpha with alpha + delta a
     root, so the violations come in canonical (beta, gamma, alpha) order.
+    Whether alpha + beta (or alpha + gamma) is a root is partner membership.
     """
-    partners = rs.sum_partners
+    table = rs.root_table
+    roots, negative, partners = table.roots, table.negative, table.partners
+    adds_to = [frozenset(j for j, _ in pairs) for pairs in partners]
     violations: list[tuple[Root, Root, Root]] = []
-    for beta, beta_partners in partners.items():
+    for beta, beta_partners in enumerate(partners):
         for gamma, delta in beta_partners:
-            degenerate = (root_neg(beta), root_neg(gamma))
+            degenerate = (negative[beta], negative[gamma])
             for alpha, _ in partners[delta]:
                 if not include_degenerate and alpha in degenerate:
                     continue
-                if root_add(alpha, beta) in rs.roots or root_add(alpha, gamma) in rs.roots:
+                if alpha in adds_to[beta] or alpha in adds_to[gamma]:
                     continue
-                violations.append((alpha, beta, gamma))
+                violations.append((roots[alpha], roots[beta], roots[gamma]))
     return (not violations, tuple(violations))

@@ -10,16 +10,21 @@ The module builds the distinguished splitting of the noncompact roots that
 exists exactly when the symmetric quotient G/K is Hermitian, assembles the
 associated new structure (fiber directions plus the minus half of the
 splitting), and can enumerate every structure of a small system outright.
+
+Structures keep their roots as frozensets of tuples, but the checks and the
+enumeration work on Python-int bitmasks over the root system's
+``root_table``: bit i stands for the root of index i in canonical order.
+The Hermitian splitting reads no table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import HermitianAnomaly, NotHermitian, TooLarge, ValidationFailed
 from .grading import HodgeGrading
-from .rootsys import Root, RootSystem, root_add, root_key, root_neg
+from .rootsys import Root, RootSystem, RootTable, root_add, root_key, root_neg
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,23 +54,71 @@ class NewStructure:
     projection_holomorphic: bool
 
 
+def _mask(index: dict[Root, int], roots: Iterable[Root]) -> int:
+    """The bitmask of a set of roots: bit i stands for the root of index i."""
+    return sum(1 << i for i in map(index.__getitem__, roots))
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, ascending."""
+    # bin() read from the lowest bit; its trailing "b0" holds no "1"
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _opposite(table: RootTable, roots: Iterable[Root]) -> frozenset[Root]:
+    """The negatives of a set of roots, read from the table: they are the
+    table's own tuples, so later set comparisons meet the same objects."""
+    roots_of, negative = table.roots, table.negative
+    return frozenset(roots_of[negative[i]] for i in map(table.index.__getitem__, roots))
+
+
+def _sums(table: RootTable, i: int, mask: int) -> int:
+    """The bitmask of the sums of root i with the roots of ``mask`` that
+    are roots: one shift per offset in ``table.shifts[i]``."""
+    found = 0
+    for d, targets in table.shifts[i]:
+        found |= (mask << d if d > 0 else mask >> -d) & targets
+    return found
+
+
+def _escapes(
+    table: RootTable, first: int, second: int, closed: int
+) -> list[tuple[Root, Root, Root]]:
+    """Each ``(a, b, a + b)`` with a in ``first``, b in ``second`` and
+    ``a + b`` outside ``closed`` (all three bitmasks over the indices of
+    ``table``), in canonical order of a, then of b.  Only a root a with
+    some sum outside ``closed`` has its partner pairs listed."""
+    roots, partners = table.roots, table.partners
+    outside = ~closed
+    escapes = []
+    for i in _members(first):
+        if _sums(table, i, second) & outside:
+            escapes.extend(
+                (roots[i], roots[j], roots[k])
+                for j, k in partners[i]
+                if second >> j & 1 and outside >> k & 1
+            )
+    return escapes
+
+
 def _sums_outside(
     rs: RootSystem, first: frozenset[Root], second: frozenset[Root], closed: frozenset[Root]
 ) -> Iterator[tuple[Root, Root, Root]]:
     """Each ``(a, b, a + b)`` with ``a + b`` a root outside ``closed``, for a
     from ``first`` and b from ``second``, both taken in canonical order.
 
-    When both sets hold roots only, this walks ``rs.sum_partners`` and
-    filters by membership: no sorting and no new tuples.  A non-root may
-    still sum with something to a root, so a set holding one takes the full
-    scan over every pair.
+    When both sets hold roots only, this is :func:`_escapes` on their
+    bitmasks: no sorting and no new roots.  A non-root may still sum with
+    something to a root, so a set holding one takes the full scan over
+    every pair.
     """
     if first <= rs.roots and second <= rs.roots:
-        for a, partners in rs.sum_partners.items():
-            if a in first:
-                for b, t in partners:
-                    if b in second and t not in closed:
-                        yield a, b, t
+        table = rs.root_table
+        index = table.index
+        closed_roots = closed & rs.roots
+        yield from _escapes(
+            table, _mask(index, first), _mask(index, second), _mask(index, closed_roots)
+        )
         return
     ordered = sorted(second, key=root_key)
     for a in sorted(first, key=root_key):
@@ -124,30 +177,42 @@ def validate_structure(
     ``ValidationFailed`` if they ever split, since that would contradict the
     equivalence rather than merely reject the candidate.
 
-    A candidate of roots only is checked on the root system's lookup
-    tables (``negatives`` and the ``sum_partners`` walk of
-    :func:`_sums_outside`); one holding a non-root takes the full pair
-    scan, with the same violations in the same order.
+    A candidate of roots only is checked on bitmasks over the root
+    system's ``root_table`` (:func:`_escapes`); one holding a non-root takes
+    the full pair scan, with the same violations in the same order.
     """
     rs = g.root_system
-    chosen = frozenset(tuple(a) for a in candidate)
-    negate = rs.negatives.__getitem__ if chosen <= rs.roots else root_neg
-    negated = frozenset(map(negate, chosen))
+    chosen = frozenset(map(tuple, candidate))
+    if chosen <= rs.roots:
+        table = rs.root_table
+        roots, negative = table.roots, table.negative
+        s = negated = 0
+        for i in map(table.index.__getitem__, chosen):
+            s |= 1 << i
+            negated |= 1 << negative[i]
+        isotropy = _mask(table.index, g.isotropy_roots)
+        outside = [roots[i] for i in _members(s & isotropy)]
+        everything = (1 << len(roots)) - 1
+        halves = (s | negated) == everything ^ isotropy and not (s & negated)
+        invariance = _escapes(table, isotropy, s, s)
+        escapes = _escapes(table, s, s, s)
+    else:
+        outside = sorted(
+            (a for a in chosen if a not in rs.roots or a in g.isotropy_roots), key=root_key
+        )
+        halves = False  # a non-root lies in neither half
+        invariance = list(_sums_outside(rs, g.isotropy_roots, chosen, chosen))
+        escapes = list(_sums_outside(rs, chosen, chosen, chosen))
     violations: list[tuple[str, tuple]] = []
-    outside = [a for a in chosen if a not in rs.roots or a in g.isotropy_roots]
     if outside:
-        violations.append(("universe", tuple(sorted(outside, key=root_key))))
-    if chosen | negated != rs.roots - g.isotropy_roots or chosen & negated:
+        violations.append(("universe", tuple(outside)))
+    if not halves:
         violations.append(("half_selection", ()))
-    violations.extend(
-        ("isotropy_invariance", escape)
-        for escape in _sums_outside(rs, g.isotropy_roots, chosen, chosen)
-    )
-    escapes = list(_sums_outside(rs, chosen, chosen, chosen))
-    violations.extend(("sum_closure", escape) for escape in escapes)
+    violations += [("isotropy_invariance", escape) for escape in invariance]
+    violations += [("sum_closure", escape) for escape in escapes]
     strong_ok = not escapes
     weak_ok = all(t in g.isotropy_roots for _, _, t in escapes)
-    others_ok = not any(v[0] in ("half_selection", "isotropy_invariance") for v in violations)
+    others_ok = halves and not invariance
     if others_ok and not outside and weak_ok and not strong_ok:
         raise ValidationFailed(
             "weak and strong closure disagree on an otherwise valid candidate"
@@ -161,9 +226,9 @@ def make_structure(g: HodgeGrading, candidate) -> ComplexStructure:
     ok, violations = validate_structure(g, candidate)
     if not ok:
         raise ValidationFailed(f"invalid structure: {violations[0]}")
-    chosen = frozenset(tuple(a) for a in candidate)
-    negatives = g.root_system.negatives
-    parabolic = frozenset(map(negatives.__getitem__, chosen)) | g.isotropy_roots
+    chosen = frozenset(map(tuple, candidate))
+    # validation has put every root of ``chosen`` in the table
+    parabolic = _opposite(g.root_system.root_table, chosen) | g.isotropy_roots
     return ComplexStructure(roots=chosen, parabolic_roots=parabolic)
 
 
@@ -196,7 +261,9 @@ def parabolic_of(g: HodgeGrading, cs: ComplexStructure) -> frozenset[Root]:
     roots = cs.parabolic_roots
     for p1, p2, t in _sums_outside(rs, roots, roots, roots):
         raise ValidationFailed(f"parabolic not closed: {p1} + {p2} = {t}")
-    if roots | frozenset(map(root_neg, roots)) != rs.roots:
+    # a non-root of ``roots`` has no negative in the table and keeps the
+    # union from being the system
+    if roots | _opposite(rs.root_table, roots & rs.roots) != rs.roots:
         raise ValidationFailed("parabolic union its opposite misses roots")
     return roots
 
@@ -206,23 +273,27 @@ def positive_system_of(
 ) -> tuple[frozenset[Root], tuple[Root, ...]]:
     """The structure's root set together with the positive isotropy roots is
     a positive system; returns it with its indecomposable (simple) elements.
-    One walk over the sums of two of its roots checks closure (raising at
-    the first sum outside the set) and collects the decomposable ones."""
+    The sums of two of its roots, collected as one mask, check closure (a
+    sum outside the set raises, naming the first such pair in canonical
+    order) and leave the indecomposable elements."""
     rs = g.root_system
     isotropy_positive = frozenset(
         a for a in rs.positive_roots if a in g.isotropy_roots
     )
     positive = cs.roots | isotropy_positive
-    negated = frozenset(map(root_neg, positive))
+    table = rs.root_table
+    # as in parabolic_of, a non-root keeps the union from being the system
+    negated = _opposite(table, positive & rs.roots)
     if positive | negated != rs.roots or positive & negated:
         raise ValidationFailed("structure does not induce a half-system")
-    sums = set()
-    for p1, p2, t in _sums_outside(rs, positive, positive, frozenset()):
-        if t not in positive:
-            raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
-        sums.add(t)
-    simples = tuple(p for p in sorted(positive, key=root_key) if p not in sums)
-    return positive, simples
+    p = _mask(table.index, positive)
+    sums = 0
+    for i in _members(p):
+        sums |= _sums(table, i, p)
+    if sums & ~p:
+        p1, p2, _ = _escapes(table, p, p, p)[0]
+        raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
+    return positive, tuple(table.roots[i] for i in _members(p & ~sums))
 
 
 def is_projection_holomorphic(
@@ -233,45 +304,38 @@ def is_projection_holomorphic(
     return frozenset(a for a in cs.roots if a in g.noncompact_roots) == hs.minus_roots
 
 
-def _propagate(
-    g: HodgeGrading, index_of: dict[Root, int], assignment: dict[int, Root], queue: list[Root]
-) -> bool:
-    """Assign each queued root and every root it forces, in place; False
-    when a forced root meets its own negative or two assigned roots sum to
-    an isotropy root.
+def _propagate(table: RootTable, isotropy: int, assigned: int, pending: int) -> int | None:
+    """The mask ``assigned`` with the roots of ``pending`` and every root
+    they force added, or None when a forced root meets its own negative or
+    two assigned roots sum to an isotropy root.
 
-    ``index_of`` maps each root outside the isotropy to the index of its
-    pair, and ``assignment`` maps a pair index to its chosen root.  Walks
-    only the ``sum_partners`` of the root just assigned: an isotropy partner
-    forces the sum, and so does an assigned partner, unless the sum is an
-    isotropy root.  Every pair of assigned roots is met once, when the later
-    one is assigned, so the outcome does not depend on the queue order.
+    Sets are bitmasks over the indices of ``table``.  Each sum of the root
+    just assigned with an isotropy root or an assigned root is forced,
+    unless a sum with an assigned root is an isotropy root.  Every pair of
+    assigned roots is met once, when the later one is assigned, so the
+    outcome does not depend on the order in which pending roots are taken.
     """
-    partners = g.root_system.sum_partners
-    isotropy = g.isotropy_roots
-    while queue:
-        root = queue.pop()
-        i = index_of[root]
-        if i in assignment:
-            if assignment[i] != root:
-                return False
-            continue
-        assignment[i] = root
-        for b, t in partners[root]:
-            if b in isotropy:
-                queue.append(t)
-            elif assignment.get(index_of[b]) == b:
-                if t in isotropy:
-                    return False
-                queue.append(t)
-    return True
+    negative = table.negative
+    pending &= ~assigned
+    while pending:
+        low = pending & -pending
+        root = low.bit_length() - 1
+        if assigned >> negative[root] & 1:
+            return None
+        assigned |= low
+        forced = _sums(table, root, assigned)
+        if forced & isotropy:
+            return None
+        pending = (pending | forced | _sums(table, root, isotropy)) & ~assigned
+    return assigned
 
 
 def enumerate_structures(
     g: HodgeGrading, limit: int | None = None, max_pairs: int = 24
 ) -> tuple[tuple[ComplexStructure, ...], bool]:
     """All invariant structures, by backtracking over one sign choice per
-    root pair with eager constraint propagation (:func:`_propagate`).
+    root pair with eager constraint propagation (:func:`_propagate`) on
+    bitmasks over the root system's ``root_table``.
 
     Pairs are visited in canonical order, positive representative first.
     Returns the structures in canonical sorted order plus a truncation flag
@@ -283,33 +347,35 @@ def enumerate_structures(
     reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
     if len(reps) > max_pairs:
         raise TooLarge(f"{len(reps)} root pairs exceeds the bound {max_pairs}")
-    index_of: dict[Root, int] = {}
-    for i, rep in enumerate(reps):
-        index_of[rep] = i
-        index_of[root_neg(rep)] = i
-    found: list[frozenset[Root]] = []
+    table = rs.root_table
+    isotropy = _mask(table.index, g.isotropy_roots)
+    pairs = []
+    for i in map(table.index.__getitem__, reps):
+        rep, neg = 1 << i, 1 << table.negative[i]
+        pairs.append((rep, neg, rep | neg))
+    found: list[int] = []
     truncated = False
 
-    def search(assignment: dict[int, Root]) -> bool:
+    def search(assigned: int, start: int) -> bool:
+        # every pair before ``start`` is assigned
         nonlocal truncated
         if truncated:
             return False
-        next_index = next((i for i in range(len(reps)) if i not in assignment), None)
-        if next_index is None:
+        for p in range(start, len(pairs)):
+            if not assigned & pairs[p][2]:
+                break
+        else:
             if limit is not None and len(found) >= limit:
                 truncated = True
                 return False
-            found.append(frozenset(assignment.values()))
+            found.append(assigned)
             return True
-        for candidate in (reps[next_index], root_neg(reps[next_index])):
-            branch = dict(assignment)
-            if _propagate(g, index_of, branch, [candidate]) and not search(branch):
+        for candidate in pairs[p][:2]:
+            branch = _propagate(table, isotropy, assigned, candidate)
+            if branch is not None and not search(branch, p + 1):
                 return False
         return True
 
-    search({})
-    structures = tuple(
-        make_structure(g, chosen)
-        for chosen in sorted(found, key=lambda s: tuple(sorted(s, key=root_key)))
-    )
-    return structures, truncated
+    search(0, 0)
+    chosen = sorted(tuple(map(table.roots.__getitem__, _members(s))) for s in found)
+    return tuple(make_structure(g, roots) for roots in chosen), truncated

@@ -285,18 +285,17 @@ class TestSimpleNoncompactDecomposition:
 
 class TestClassify:
     def test_never_builds_the_structure_tables(self):
-        # the routes must not share the tables the structures layer reads
+        # the routes must not share the table the structures layer reads
         for type_label, rank, labels in EXCEPTIONAL_SAMPLE:
             rs = build_root_system.__wrapped__(type_label, rank)
             classify(make_grading(rs, labels))
-            assert "sum_partners" not in rs.__dict__
-            assert "negatives" not in rs.__dict__
+            assert "root_table" not in rs.__dict__
 
     def test_only_structures_and_rootsys_read_the_tables(self):
         # the static side of the test above, over every module: no other
-        # module reads the tables, and in structures.py the Hermitian
-        # splitting neither reads them nor calls a function that does
-        tables = {"sum_partners", "negatives"}
+        # module reads the table, and in structures.py the Hermitian
+        # splitting neither reads it nor calls a function that does
+        tables = {"root_table"}
 
         def reads_table(node):
             return any(

@@ -568,6 +568,11 @@ class TestGolden:
                 "curvature_C2_1_1_w_1_0.txt",
                 ["curvature", "C2/1,1", "--weight", "1,0"],
             ),
+            ("structures_C3_1_1_1.txt", ["structures", "C3/1,1,1"]),
+            (
+                "structures_C3_1_1_1.json",
+                ["structures", "C3/1,1,1", "--format", "json"],
+            ),
         ],
     )
     def test_stdout_matches_golden(self, capsys, name, argv):

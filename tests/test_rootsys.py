@@ -72,23 +72,40 @@ TABLE_SYSTEMS = (
 
 @pytest.mark.parametrize("type_label,rank", TABLE_SYSTEMS)
 def test_sum_partners_match_pairwise_sums(type_label, rank):
-    # a fresh, uncached system: the build leaves the table for first use
+    # the partner pairs of ``root_table`` against every pairwise tuple sum,
+    # on a fresh, uncached system: the build leaves the table for first use
     rs = build_root_system.__wrapped__(type_label, rank)
-    assert "sum_partners" not in rs.__dict__
+    assert "root_table" not in rs.__dict__
     ordered = sorted(rs.roots, key=root_key)
-    expected = [
-        (a, tuple((b, root_add(a, b)) for b in ordered if root_add(a, b) in rs.roots))
+    position = {a: i for i, a in enumerate(ordered)}
+    table = rs.root_table
+    assert table.roots == tuple(ordered)
+    assert table.index == position
+    assert table.partners == tuple(
+        tuple(
+            (j, position[root_add(a, b)])
+            for j, b in enumerate(ordered)
+            if root_add(a, b) in rs.roots
+        )
         for a in ordered
-    ]
-    assert list(rs.sum_partners.items()) == expected
-    assert rs.__dict__["sum_partners"] is rs.sum_partners
+    )
+    # the same pairs by offset k - j, positive exactly for a positive root
+    for a, pairs, shifts in zip(ordered, table.partners, table.shifts):
+        offsets = [d for d, _ in shifts]
+        assert sorted(offsets) == sorted({k - j for j, k in pairs})
+        for d, sums in shifts:
+            assert (d > 0) == (a in rs.positive_roots)
+            assert sums == sum(1 << k for j, k in pairs if k - j == d)
+    assert rs.__dict__["root_table"] is table
 
 
-@pytest.mark.parametrize("type_label,rank", [("A", 1), ("C", 4), ("G", 2), ("E", 8)])
+@pytest.mark.parametrize("type_label,rank", TABLE_SYSTEMS)
 def test_negatives(type_label, rank):
     rs = build_root_system.__wrapped__(type_label, rank)
-    assert "negatives" not in rs.__dict__
-    assert rs.negatives == {a: root_neg(a) for a in rs.roots}
+    assert "root_table" not in rs.__dict__
+    table = rs.root_table
+    assert [table.roots[i] for i in table.negative] == [root_neg(a) for a in table.roots]
+    assert rs.__dict__["root_table"] is table
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("X", 2)])

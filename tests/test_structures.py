@@ -414,24 +414,26 @@ class TestPropagation:
         # what was queued, or the propagation fails exactly when it is bad
         for g in hermitian_gradings(max_rank=3):
             rs = g.root_system
-            reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
-            index_of = {a: i for i, rep in enumerate(reps) for a in (rep, tuple(-x for x in rep))}
+            table = rs.root_table
+            isotropy = sum(1 << table.index[a] for a in g.isotropy_roots)
+
+            def roots_of(mask):
+                return frozenset(a for i, a in enumerate(table.roots) if mask >> i & 1)
+
             outside = sorted(rs.roots - g.isotropy_roots, key=root_key)
             for first in outside:
-                assignment = {}
-                ok = _propagate(g, index_of, assignment, [first])
+                assigned = _propagate(table, isotropy, 0, 1 << table.index[first])
                 expected_ok, expected = forced_closure(g, [first])
-                assert ok == expected_ok
-                if not ok:
+                assert (assigned is not None) == expected_ok
+                if assigned is None:
                     continue
-                assert frozenset(assignment.values()) == expected
+                assert roots_of(assigned) == expected
                 for second in outside:
-                    branch = dict(assignment)
-                    ok = _propagate(g, index_of, branch, [second])
+                    branch = _propagate(table, isotropy, assigned, 1 << table.index[second])
                     expected_ok, expected = forced_closure(g, [first, second])
-                    assert ok == expected_ok, (g.labels, first, second)
-                    if ok:
-                        assert frozenset(branch.values()) == expected
+                    assert (branch is not None) == expected_ok, (g.labels, first, second)
+                    if branch is not None:
+                        assert roots_of(branch) == expected
 
 
 class TestProperties:
