@@ -354,13 +354,13 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
     lines = []
     failures = 0
 
-    def record(name, bad, total, unit):
+    def record(name, failed, shown, total, unit):
+        # ``shown`` lists failing items in order; the first 10 are printed
         nonlocal failures
-        if bad:
-            failures += len(bad)
-            lines.append(f"CHECK {name}: FAIL ({len(bad)} of {total} {unit})")
-            for item in bad[:10]:
-                lines.append(f"  {item}")
+        if failed:
+            failures += failed
+            lines.append(f"CHECK {name}: FAIL ({failed} of {total} {unit})")
+            lines.extend(f"  {item}" for item in shown[:10])
         else:
             lines.append(f"CHECK {name}: ok ({total} {unit})")
 
@@ -373,30 +373,31 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
             )
             if not holds:
                 bad.append(f"{type_label}{rank}: {violations[0]}")
-        record("triple_sum_reduction", bad, len(systems), "systems")
+        record("triple_sum_reduction", len(bad), bad, len(systems), "systems")
 
-        gradings = [
-            (domain_text(t, r, labels), make_grading(build_root_system(t, r), labels))
-            for t, r, labels in instances
-        ]
-        bad = [domain for domain, g in gradings if not verify_compact_from_noncompact(g)]
-        record("compact_from_noncompact", bad, len(gradings), "gradings")
-
-        # the decomposition statement applies to non-classical gradings only
-        applicable = [
-            (domain, g) for domain, g in gradings if not is_classical_definitional(g)[0]
-        ]
-        bad = [
-            domain
-            for domain, g in applicable
-            if not verify_simple_noncompact_decomposition(g)
-        ]
-        record("simple_noncompact_decomposition", bad, len(applicable), "gradings")
+        # one grading at a time: only the counts and the first 10 failing
+        # domains of each check are kept
+        compact, decomposition = [0, []], [0, []]
+        applicable = 0
+        for t, r, labels in instances:
+            g = make_grading(build_root_system(t, r), labels)
+            checks = [(compact, verify_compact_from_noncompact)]
+            # the decomposition statement applies to non-classical gradings only
+            if not is_classical_definitional(g)[0]:
+                applicable += 1
+                checks.append((decomposition, verify_simple_noncompact_decomposition))
+            for tally, check in checks:
+                if not check(g):
+                    tally[0] += 1
+                    if len(tally[1]) < 10:
+                        tally[1].append(domain_text(t, r, labels))
+        record("compact_from_noncompact", *compact, len(instances), "gradings")
+        record("simple_noncompact_decomposition", *decomposition, applicable, "gradings")
 
     if suite in ("equivalence", "all"):
         result = survey_crosscheck(types, max_rank, radius)
         bad = [": ".join(failure) for failure in result.failures]
-        record("route_agreement", bad, len(instances), "gradings")
+        record("route_agreement", len(bad), bad, len(instances), "gradings")
 
     lines.append(f"failures {failures}")
     return "\n".join(lines) + "\n", (2 if failures else 0)

@@ -14,7 +14,9 @@ splitting), and can enumerate every structure of a small system outright.
 Structures keep their roots as frozensets of tuples, but the checks and the
 enumeration work on Python-int bitmasks over the root system's
 ``root_table``: bit i stands for the root of index i in canonical order.
-The Hermitian splitting reads no table.
+The structures an enumeration finds are validated together, in one
+bit-sliced pass over the partner triples (:func:`_rejected`), rather than
+one by one in ``make_structure``.  The Hermitian splitting reads no table.
 """
 from __future__ import annotations
 
@@ -330,6 +332,40 @@ def _propagate(table: RootTable, isotropy: int, assigned: int, pending: int) -> 
     return assigned
 
 
+def _rejected(table: RootTable, isotropy: int, members: list[list[int]]) -> int:
+    """The mask of the candidates that fail a structure condition: bit t is
+    set when the roots of indices ``members[t]`` (over ``table``) lie in the
+    isotropy, miss or repeat a pair outside it, leave a sum with an isotropy
+    root, or leave a sum of two of their own.
+
+    The check is bit-sliced: ``cols[i]`` holds bit t when candidate t holds
+    root i, so one walk over the negatives and the partner triples tests
+    every candidate at once.  It reads ``partners``, not the offset groups
+    that :func:`_propagate` reads, so a fault in one is not mirrored in
+    the other.
+    """
+    cols = [0] * len(table.roots)
+    for t, m in enumerate(members):
+        bit = 1 << t
+        for i in m:
+            cols[i] |= bit
+    everyone = (1 << len(members)) - 1
+    bad = 0
+    for i, (col, pairs) in enumerate(zip(cols, table.partners)):
+        if isotropy >> i & 1:
+            bad |= col
+            for j, k in pairs:
+                bad |= cols[j] & ~cols[k]
+        elif i < table.negative[i]:
+            opposite = cols[table.negative[i]]
+            bad |= col & opposite | everyone & ~(col | opposite)
+        if col:
+            for j, k in pairs:
+                if j >= i:
+                    bad |= col & cols[j] & ~cols[k]
+    return bad
+
+
 def enumerate_structures(
     g: HodgeGrading, limit: int | None = None, max_pairs: int = 24
 ) -> tuple[tuple[ComplexStructure, ...], bool]:
@@ -340,8 +376,11 @@ def enumerate_structures(
     Pairs are visited in canonical order, positive representative first.
     Returns the structures in canonical sorted order plus a truncation flag
     when ``limit`` cut the search short.  Each structure found is validated
-    once, by :func:`make_structure`, which raises ``ValidationFailed`` on
-    any assignment the propagation should not have admitted.
+    once, by the bit-sliced pass of :func:`_rejected` over all of them
+    together.  On any assignment the propagation should not have admitted,
+    the first rejected structure in output order goes through
+    :func:`validate_structure`, and ``ValidationFailed`` names its first
+    violation, or says the two checkers disagree.
     """
     rs = g.root_system
     reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
@@ -377,5 +416,24 @@ def enumerate_structures(
         return True
 
     search(0, 0)
-    chosen = sorted(tuple(map(table.roots.__getitem__, _members(s))) for s in found)
-    return tuple(make_structure(g, roots) for roots in chosen), truncated
+    roots_of = table.roots
+    negated = [roots_of[i] for i in table.negative]
+    chosen = sorted((tuple(map(roots_of.__getitem__, m)), m) for m in map(_members, found))
+    members = [m for _, m in chosen]
+    rejected = _rejected(table, isotropy, members)
+    if rejected:
+        roots = chosen[(rejected & -rejected).bit_length() - 1][0]
+        ok, violations = validate_structure(g, roots)
+        if ok:
+            raise ValidationFailed(
+                f"the batch check and validate_structure disagree on {roots}"
+            )
+        raise ValidationFailed(f"invalid structure: {violations[0]}")
+    structures = tuple(
+        ComplexStructure(
+            roots=frozenset(roots),
+            parabolic_roots=frozenset(map(negated.__getitem__, m)) | g.isotropy_roots,
+        )
+        for roots, m in chosen
+    )
+    return structures, truncated

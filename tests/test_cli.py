@@ -362,6 +362,29 @@ class TestVerifyCommand:
         assert "CHECK route_agreement: ok (11 gradings)\n" in out
         assert out.endswith("failures 0\n")
 
+    def test_failing_lemma_lists_the_first_ten_domains(self, capsys, monkeypatch):
+        monkeypatch.setattr(pdclass.cli, "verify_compact_from_noncompact", lambda g: False)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "lemmas", "--types", "A", "--max-rank", "3"
+        )
+        assert code == 2
+        lines = out.splitlines()
+        start = lines.index("CHECK compact_from_noncompact: FAIL (25 of 25 gradings)")
+        assert lines[start + 1 : start + 12] == [
+            "  A1/1",
+            "  A2/0,1",
+            "  A2/1,0",
+            "  A2/1,1",
+            "  A2/1,2",
+            "  A2/2,1",
+            "  A3/0,0,1",
+            "  A3/0,1,0",
+            "  A3/0,1,1",
+            "  A3/0,1,2",
+            "CHECK simple_noncompact_decomposition: ok (8 gradings)",
+        ]
+        assert lines[-1] == "failures 25"
+
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "equivalence", "--types", "A", "--max-rank", "2"

@@ -381,12 +381,21 @@ try:
     raise SystemExit("a wrong violation count left curvature_signature")
 except InternalInconsistency:
     pass
+validate_structure = pdclass.structures.validate_structure
 pdclass.structures.validate_structure = lambda g, chosen: (False, (("forged", ()),))
+try:
+    pdclass.structures.new_complex_structure(c2)
+    raise SystemExit("a rejected structure left new_complex_structure")
+except ValidationFailed:
+    pass
+pdclass.structures.validate_structure = validate_structure
+pdclass.structures._rejected = lambda table, isotropy, members: (1 << len(members)) - 1
 try:
     pdclass.structures.enumerate_structures(c2)
     raise SystemExit("a rejected structure left enumerate_structures")
-except ValidationFailed:
-    pass
+except ValidationFailed as exc:
+    if "disagree" not in str(exc):
+        raise SystemExit(f"the checkers' disagreement went unreported: {exc}")
 pdclass.cone.verify_certificate = lambda sys, cert: False
 try:
     pdclass.cone.decide_cone(grading_cone_system(parse_domain("E6/0,1,0,0,0,0")))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdclass.errors import NotHermitian, TooLarge, ValidationFailed
 from pdclass.grading import make_grading
-from pdclass.rootsys import build_root_system, root_key
+from pdclass.rootsys import build_root_system, root_key, root_neg
 from pdclass.structures import (
     ComplexStructure,
     enumerate_structures,
@@ -22,6 +22,7 @@ from pdclass.structures import (
     positive_system_of,
     validate_structure,
     _propagate,
+    _rejected,
     _sums_outside,
 )
 
@@ -78,6 +79,25 @@ def validation_outcome(validate, g, candidate):
         return validate(g, candidate)
     except ValidationFailed as exc:
         return "raised", str(exc)
+
+
+def reference_rejects(g, candidates):
+    """For each candidate, whether ``reference_validate_structure`` rejects
+    it; a ``ValidationFailed`` counts as a rejection."""
+    return [
+        validation_outcome(reference_validate_structure, g, c)[0] is not True
+        for c in candidates
+    ]
+
+
+def batch_rejects(g, candidates):
+    """For each root-only candidate, whether its bit is set in the mask of
+    the enumeration's batch check."""
+    table = g.root_system.root_table
+    isotropy = sum(1 << table.index[a] for a in g.isotropy_roots)
+    members = [sorted(map(table.index.__getitem__, c)) for c in candidates]
+    rejected = _rejected(table, isotropy, members)
+    return [bool(rejected >> t & 1) for t in range(len(candidates))]
 
 
 class TestHermitianSplitting:
@@ -378,6 +398,21 @@ class TestEnumerate:
         assert len(structures) == 8
         assert not truncated
 
+    def test_first_rejected_structure_is_named(self, c2, monkeypatch):
+        # a propagation that forces nothing lets every sign vector through:
+        # the first invalid one in output order is named, as make_structure
+        # would name it
+        monkeypatch.setattr(
+            "pdclass.structures._propagate",
+            lambda table, isotropy, assigned, pending: assigned | pending,
+        )
+        g = make_grading(c2, (1, 1))
+        ordered = sorted(tuple(sorted(c, key=root_key)) for c in sign_vectors(g))
+        first = next(c for c in ordered if not validate_structure(g, c)[0])
+        with pytest.raises(ValidationFailed) as raised:
+            enumerate_structures(g)
+        assert str(raised.value) == f"invalid structure: {validate_structure(g, first)[1][0]}"
+
     def test_pair_bound(self, c2):
         with pytest.raises(TooLarge):
             enumerate_structures(make_grading(c2, (1, 1)), max_pairs=3)
@@ -483,20 +518,81 @@ def mixed_candidate(draw):
     return g, draw(st.permutations(entries))
 
 
+@st.composite
+def root_only_family(draw):
+    """A grading and candidates of roots only, valid and invalid mixed:
+    enumerated structures, sign vectors, and some of either with roots
+    dropped or added (isotropy roots and negatives among them)."""
+    g = draw(st.sampled_from(hermitian_sweep()))
+    rs = g.root_system
+    reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
+    structures = [cs.roots for cs in enumerate_structures(g)[0]]
+    family = draw(st.lists(st.sampled_from(structures), max_size=4))
+    signs = st.lists(st.booleans(), min_size=len(reps), max_size=len(reps))
+    family += [
+        frozenset(a if up else root_neg(a) for up, a in zip(vector, reps))
+        for vector in draw(st.lists(signs, min_size=1, max_size=6))
+    ]
+    roots = sorted(rs.roots, key=root_key)
+    isotropy = sorted(g.isotropy_roots, key=root_key)
+    for base in draw(st.lists(st.sampled_from(family), max_size=4)):
+        dropped = draw(st.lists(st.sampled_from(sorted(base, key=root_key)), max_size=2))
+        added = draw(st.lists(st.sampled_from(roots), max_size=2))
+        if isotropy:
+            added += draw(st.lists(st.sampled_from(isotropy), max_size=1))
+        family.append(base.difference(dropped).union(added))
+    return g, draw(st.permutations(family))
+
+
 class TestReferenceAgreement:
     """Identical output to the pair scans kept in conftest.py."""
 
     def test_every_sign_vector(self):
+        # validate_structure one candidate at a time, and the enumeration's
+        # batch check on all of a grading's sign vectors at once
         checked = 0
         for g in hermitian_sweep():
             if len(g.tangent_roots) > 9:
                 continue
-            for chosen in sign_vectors(g):
-                assert validation_outcome(validate_structure, g, chosen) == (
-                    validation_outcome(reference_validate_structure, g, chosen)
-                ), (g.labels, sorted(chosen))
-                checked += 1
+            candidates = list(sign_vectors(g))
+            expected = [
+                validation_outcome(reference_validate_structure, g, c) for c in candidates
+            ]
+            for chosen, outcome in zip(candidates, expected):
+                assert validation_outcome(validate_structure, g, chosen) == outcome, (
+                    g.labels,
+                    sorted(chosen),
+                )
+            assert batch_rejects(g, candidates) == [
+                outcome[0] is not True for outcome in expected
+            ], g.labels
+            checked += len(candidates)
         assert checked == 29490
+
+    def test_batch_check_on_enumerated_structures(self):
+        # the first structures found, and the first with each isotropy root
+        # added, which only the universe condition can reject
+        for g in hermitian_sweep():
+            found = [cs.roots for cs in enumerate_structures(g, limit=16)[0]]
+            isotropy = sorted(g.isotropy_roots, key=root_key)
+            candidates = found + [found[0] | {a} for a in isotropy]
+            assert batch_rejects(g, candidates) == reference_rejects(g, candidates), g.labels
+
+    def test_batch_check_beyond_one_word(self):
+        # A4 without isotropy has 120 structures among its 1024 sign vectors,
+        # so each column of the batch check spans more than one 64-bit word
+        g = make_grading(build_root_system("A", 4), (1, 1, 1, 1))
+        assert not g.isotropy_roots
+        candidates = list(sign_vectors(g))
+        expected = reference_rejects(g, candidates)
+        assert expected.count(False) == 120
+        assert batch_rejects(g, candidates) == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(root_only_family())
+    def test_batch_check_on_mixed_families(self, case):
+        g, candidates = case
+        assert batch_rejects(g, candidates) == reference_rejects(g, candidates)
 
     def test_sums_outside_on_structure_sets(self):
         for g in hermitian_sweep() + hermitian_exceptional():
