@@ -177,6 +177,9 @@ class RootTable(NamedTuple):
     ``(d, bitmask of their k)``, so that the sums of root i with a whole
     bitmask of roots come out of one shift per offset.  The negative roots
     come first, so ``d`` is positive exactly when root i is.
+
+    ``tuple_rank[i]`` is the rank of root i among all roots compared as
+    plain tuples, so tuples of ranks sort like tuples of roots.
     """
 
     roots: tuple[Root, ...]
@@ -184,6 +187,7 @@ class RootTable(NamedTuple):
     negative: tuple[int, ...]
     partners: tuple[tuple[tuple[int, int], ...], ...]
     shifts: tuple[tuple[tuple[int, int], ...], ...]
+    tuple_rank: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +245,14 @@ class RootSystem:
             for j, k in pairs:
                 sums[k - j] = sums.get(k - j, 0) | 1 << k
             shifts.append(tuple(sums.items()))
+        ranked = {root: r for r, root in enumerate(sorted(roots))}
         return RootTable(
             roots=roots,
             index={root: i for i, root in enumerate(roots)},
             negative=tuple(at[-code] for code in codes),
             partners=partners,
             shifts=tuple(shifts),
+            tuple_rank=tuple(map(ranked.__getitem__, roots)),
         )
 
     def coroot_pairing(self, beta: Root, i: int) -> int:

@@ -11,17 +11,21 @@ exists exactly when the symmetric quotient G/K is Hermitian, assembles the
 associated new structure (fiber directions plus the minus half of the
 splitting), and can enumerate every structure of a small system outright.
 
-Structures keep their roots as frozensets of tuples, but the checks and the
-enumeration work on Python-int bitmasks over the root system's
-``root_table``: bit i stands for the root of index i in canonical order.
-The structures an enumeration finds are validated together, in one
-bit-sliced pass over the partner triples (:func:`_rejected`), rather than
-one by one in ``make_structure``.  The Hermitian splitting reads no table.
+Structures keep their roots as frozensets of tuples, and derive their
+parabolic on first read, but the checks and the enumeration work on
+Python-int bitmasks over the root system's ``root_table``: bit i stands for
+the root of index i in canonical order.  The structures an enumeration
+finds are validated together, in one bit-sliced pass over the partner
+triples (:func:`_rejected`), rather than one by one in ``make_structure``.
+The Hermitian splitting reads no table: it checks its center direction on
+every root instead of summing roots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import HermitianAnomaly, NotHermitian, TooLarge, ValidationFailed
@@ -41,8 +45,16 @@ class HermitianSplitting:
 
 @dataclass(frozen=True, eq=False)
 class ComplexStructure:
+    """A structure's root set and the isotropy roots of its grading; the
+    parabolic (the negated root set together with the isotropy roots) is
+    built on first read."""
+
     roots: frozenset[Root]
-    parabolic_roots: frozenset[Root]
+    isotropy_roots: frozenset[Root]
+
+    @cached_property
+    def parabolic_roots(self) -> frozenset[Root]:
+        return frozenset(map(root_neg, self.roots)) | self.isotropy_roots
 
     def sorted_roots(self) -> tuple[Root, ...]:
         return tuple(sorted(self.roots, key=root_key))
@@ -135,6 +147,17 @@ def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
 
     Any failure past the center-dimension gate is mathematically unexpected
     and raises ``HermitianAnomaly`` instead of being smoothed over.
+
+    The center direction z is its own certificate.  It is checked to take
+    one value +-1 on every noncompact root and to vanish on every compact
+    root, and every root is one or the other.  Linearity then gives the two
+    properties of the minus half without summing any roots.  For a compact
+    root a and a minus root b, z(a + b) = -1: a root a + b is not compact,
+    so it is noncompact with value -1 and lies in the minus half, which is
+    therefore invariant under the compact part.  For two minus roots b and
+    b', z(b + b') = -2, a value no root takes: the minus half is abelian.
+    The values are compared as integers against the common magnitude m,
+    and only z itself is divided by m.
     """
     dim, basis = g.compact_center()
     if dim == 0:
@@ -144,26 +167,26 @@ def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
             f"compact center has dimension {dim} with compact roots present"
         )
     direction = basis[0]
-    values = {b: sum(c * x for c, x in zip(direction, b)) for b in g.noncompact_roots}
+    values = {b: sum(map(mul, direction, b)) for b in g.noncompact_roots}
     magnitudes = {abs(v) for v in values.values()}
     if 0 in magnitudes or len(magnitudes) != 1:
         raise HermitianAnomaly(
             f"no scaling of the center direction gives values +-1: {sorted(magnitudes)}"
         )
-    scale = Fraction(1, magnitudes.pop())
+    m = magnitudes.pop()
     lowest = next(i for i, c in enumerate(g.labels) if c == 1)
     if direction[lowest] < 0:
-        scale = -scale
-    z = tuple(Fraction(x) * scale for x in direction)
-    plus = frozenset(b for b, v in values.items() if v * scale == 1)
+        m = -m
+    z = tuple(Fraction(x, m) for x in direction)
+    plus = frozenset(b for b, v in values.items() if v == m)
     minus = frozenset(g.noncompact_roots - plus)
     if minus != frozenset(map(root_neg, plus)):
         raise HermitianAnomaly("halves are not negatives of each other")
-    rs = g.root_system
-    if rs.root_set_sum(g.compact_roots, minus) - minus:
-        raise HermitianAnomaly("minus half is not invariant under the compact part")
-    if rs.root_set_sum(minus, minus):
-        raise HermitianAnomaly("minus half is not abelian")
+    off = [a for a in g.compact_roots if sum(map(mul, direction, a))]
+    if off:
+        raise HermitianAnomaly(
+            f"center direction does not vanish on the compact root {min(off, key=root_key)}"
+        )
     return HermitianSplitting(center_direction=z, plus_roots=plus, minus_roots=minus)
 
 
@@ -223,15 +246,13 @@ def validate_structure(
 
 
 def make_structure(g: HodgeGrading, candidate) -> ComplexStructure:
-    """Validate and wrap a root set, attaching its parabolic (the negated set
-    together with the isotropy roots)."""
+    """Validate and wrap a root set together with the grading's isotropy
+    roots, from which its parabolic is derived."""
     ok, violations = validate_structure(g, candidate)
     if not ok:
         raise ValidationFailed(f"invalid structure: {violations[0]}")
     chosen = frozenset(map(tuple, candidate))
-    # validation has put every root of ``chosen`` in the table
-    parabolic = _opposite(g.root_system.root_table, chosen) | g.isotropy_roots
-    return ComplexStructure(roots=chosen, parabolic_roots=parabolic)
+    return ComplexStructure(roots=chosen, isotropy_roots=g.isotropy_roots)
 
 
 def new_complex_structure(g: HodgeGrading) -> NewStructure:
@@ -306,16 +327,20 @@ def is_projection_holomorphic(
     return frozenset(a for a in cs.roots if a in g.noncompact_roots) == hs.minus_roots
 
 
-def _propagate(table: RootTable, isotropy: int, assigned: int, pending: int) -> int | None:
+def _propagate(
+    table: RootTable, isotropy: int, isotropy_sums: list[int], assigned: int, pending: int
+) -> int | None:
     """The mask ``assigned`` with the roots of ``pending`` and every root
     they force added, or None when a forced root meets its own negative or
     two assigned roots sum to an isotropy root.
 
-    Sets are bitmasks over the indices of ``table``.  Each sum of the root
-    just assigned with an isotropy root or an assigned root is forced,
-    unless a sum with an assigned root is an isotropy root.  Every pair of
-    assigned roots is met once, when the later one is assigned, so the
-    outcome does not depend on the order in which pending roots are taken.
+    Sets are bitmasks over the indices of ``table``; ``isotropy_sums[i]``
+    is ``_sums(table, i, isotropy)``, the same at every node of a search.
+    Each sum of the root just assigned with an isotropy root or an assigned
+    root is forced, unless a sum with an assigned root is an isotropy root.
+    Every pair of assigned roots is met once, when the later one is
+    assigned, so the outcome does not depend on the order in which pending
+    roots are taken.
     """
     negative = table.negative
     pending &= ~assigned
@@ -328,7 +353,7 @@ def _propagate(table: RootTable, isotropy: int, assigned: int, pending: int) -> 
         forced = _sums(table, root, assigned)
         if forced & isotropy:
             return None
-        pending = (pending | forced | _sums(table, root, isotropy)) & ~assigned
+        pending = (pending | forced | isotropy_sums[root]) & ~assigned
     return assigned
 
 
@@ -373,9 +398,10 @@ def enumerate_structures(
     root pair with eager constraint propagation (:func:`_propagate`) on
     bitmasks over the root system's ``root_table``.
 
-    Pairs are visited in canonical order, positive representative first.
-    Returns the structures in canonical sorted order plus a truncation flag
-    when ``limit`` cut the search short.  Each structure found is validated
+    Pairs are visited in canonical order, positive representative first,
+    depth first, so ``limit`` keeps the first structures found.  Returns
+    the structures in canonical sorted order plus a truncation flag when
+    ``limit`` cut the search short.  Each structure found is validated
     once, by the bit-sliced pass of :func:`_rejected` over all of them
     together.  On any assignment the propagation should not have admitted,
     the first rejected structure in output order goes through
@@ -387,42 +413,44 @@ def enumerate_structures(
     if len(reps) > max_pairs:
         raise TooLarge(f"{len(reps)} root pairs exceeds the bound {max_pairs}")
     table = rs.root_table
+    roots_of = table.roots
     isotropy = _mask(table.index, g.isotropy_roots)
+    isotropy_sums = [_sums(table, i, isotropy) for i in range(len(roots_of))]
     pairs = []
     for i in map(table.index.__getitem__, reps):
         rep, neg = 1 << i, 1 << table.negative[i]
         pairs.append((rep, neg, rep | neg))
+    count = len(pairs)
     found: list[int] = []
     truncated = False
-
-    def search(assigned: int, start: int) -> bool:
-        # every pair before ``start`` is assigned
-        nonlocal truncated
-        if truncated:
-            return False
-        for p in range(start, len(pairs)):
-            if not assigned & pairs[p][2]:
-                break
-        else:
+    # a node is an assignment, the root to propagate into it, and the first
+    # pair it may leave unassigned; the representative's node goes on top,
+    # so it is searched first
+    stack = [(0, 0, 0)]
+    while stack:
+        assigned, candidate, p = stack.pop()
+        assigned = _propagate(table, isotropy, isotropy_sums, assigned, candidate)
+        if assigned is None:
+            continue
+        while p < count and assigned & pairs[p][2]:
+            p += 1
+        if p == count:
             if limit is not None and len(found) >= limit:
                 truncated = True
-                return False
+                break
             found.append(assigned)
-            return True
-        for candidate in pairs[p][:2]:
-            branch = _propagate(table, isotropy, assigned, candidate)
-            if branch is not None and not search(branch, p + 1):
-                return False
-        return True
+            continue
+        rep, neg, _ = pairs[p]
+        stack.append((assigned, neg, p + 1))
+        stack.append((assigned, rep, p + 1))
 
-    search(0, 0)
-    roots_of = table.roots
-    negated = [roots_of[i] for i in table.negative]
-    chosen = sorted((tuple(map(roots_of.__getitem__, m)), m) for m in map(_members, found))
-    members = [m for _, m in chosen]
+    # tuples of ranks sort like the tuples of roots they stand for
+    rank = table.tuple_rank
+    members = sorted(map(_members, found), key=lambda m: tuple(map(rank.__getitem__, m)))
     rejected = _rejected(table, isotropy, members)
     if rejected:
-        roots = chosen[(rejected & -rejected).bit_length() - 1][0]
+        first = members[(rejected & -rejected).bit_length() - 1]
+        roots = tuple(map(roots_of.__getitem__, first))
         ok, violations = validate_structure(g, roots)
         if ok:
             raise ValidationFailed(
@@ -430,10 +458,7 @@ def enumerate_structures(
             )
         raise ValidationFailed(f"invalid structure: {violations[0]}")
     structures = tuple(
-        ComplexStructure(
-            roots=frozenset(roots),
-            parabolic_roots=frozenset(map(negated.__getitem__, m)) | g.isotropy_roots,
-        )
-        for roots, m in chosen
+        ComplexStructure(frozenset(map(roots_of.__getitem__, m)), g.isotropy_roots)
+        for m in members
     )
     return structures, truncated

@@ -12,7 +12,9 @@ integer elimination; the round-by-round bracket closure, which gives the
 same trace as the semi-naive one; and the structure checks, the enumeration
 and the triple-sum lemma that summed every pair of roots, which give the
 same violations, structures and order as the ones that read the
-root-addition table.
+root-addition table; and the Hermitian splitting that summed the compact
+and minus halves, which gives the same splitting (or the same raise) as the
+one that checks the center direction on every root.
 
 This file also collects the acceptance-criterion outcomes and prints one
 PASS/FAIL line per criterion at the end of the run.
@@ -23,12 +25,13 @@ import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 import pytest
 
-from pdclass.errors import TooLarge, ValidationFailed
+from pdclass.errors import HermitianAnomaly, TooLarge, ValidationFailed
 from pdclass.rootsys import build_root_system, root_add, root_key, root_neg
-from pdclass.structures import ComplexStructure
+from pdclass.structures import HermitianSplitting
 
 ACCEPTANCE_TITLES = {
     1: "route agreement across the full sweep",
@@ -328,14 +331,57 @@ def reference_validate_structure(g, candidate):
     return not violations, tuple(violations)
 
 
+def reference_hermitian_splitting(g):
+    """The package's ``hermitian_splitting`` before it checked the center
+    direction on every root, kept verbatim: it sums the compact roots with
+    the minus half, and the minus half with itself, into new tuples."""
+    dim, basis = g.compact_center()
+    if dim == 0:
+        return None
+    if dim >= 2 and g.compact_positive:
+        raise HermitianAnomaly(
+            f"compact center has dimension {dim} with compact roots present"
+        )
+    direction = basis[0]
+    values = {b: sum(c * x for c, x in zip(direction, b)) for b in g.noncompact_roots}
+    magnitudes = {abs(v) for v in values.values()}
+    if 0 in magnitudes or len(magnitudes) != 1:
+        raise HermitianAnomaly(
+            f"no scaling of the center direction gives values +-1: {sorted(magnitudes)}"
+        )
+    scale = Fraction(1, magnitudes.pop())
+    lowest = next(i for i, c in enumerate(g.labels) if c == 1)
+    if direction[lowest] < 0:
+        scale = -scale
+    z = tuple(Fraction(x) * scale for x in direction)
+    plus = frozenset(b for b, v in values.items() if v * scale == 1)
+    minus = frozenset(g.noncompact_roots - plus)
+    if minus != frozenset(map(root_neg, plus)):
+        raise HermitianAnomaly("halves are not negatives of each other")
+    rs = g.root_system
+    if rs.root_set_sum(g.compact_roots, minus) - minus:
+        raise HermitianAnomaly("minus half is not invariant under the compact part")
+    if rs.root_set_sum(minus, minus):
+        raise HermitianAnomaly("minus half is not abelian")
+    return HermitianSplitting(center_direction=z, plus_roots=plus, minus_roots=minus)
+
+
+class ReferenceStructure(NamedTuple):
+    """A structure's roots and its parabolic, both computed in this file."""
+
+    roots: frozenset
+    parabolic_roots: frozenset
+
+
 def reference_make_structure(g, candidate):
-    """The package's ``make_structure`` on ``reference_validate_structure``."""
+    """The package's ``make_structure`` on ``reference_validate_structure``,
+    with the parabolic (the negated roots and the isotropy) computed here."""
     ok, violations = reference_validate_structure(g, candidate)
     if not ok:
         raise ValidationFailed(f"invalid structure: {violations[0]}")
     chosen = frozenset(tuple(a) for a in candidate)
     parabolic = frozenset(map(root_neg, chosen)) | g.isotropy_roots
-    return ComplexStructure(roots=chosen, parabolic_roots=parabolic)
+    return ReferenceStructure(roots=chosen, parabolic_roots=parabolic)
 
 
 def reference_positive_system_of(g, cs):
@@ -355,11 +401,10 @@ def reference_positive_system_of(g, cs):
     return positive, simples
 
 
-def reference_enumerate_structures(g, limit=None, max_pairs=24):
-    """The package's ``enumerate_structures`` before the root-addition table,
-    kept verbatim (with this file's reference validation in place of the
-    package's ``make_structure``): propagation sums each new root with every
-    isotropy root and every root assigned so far."""
+def reference_search(g, limit=None, max_pairs=24):
+    """The search of :func:`reference_enumerate_structures`: the root sets of
+    the structures in the order the search finds them, and the truncation
+    flag."""
     rs = g.root_system
     reps = [a for a in rs.positive_roots if a not in g.isotropy_roots]
     if len(reps) > max_pairs:
@@ -413,6 +458,15 @@ def reference_enumerate_structures(g, limit=None, max_pairs=24):
         return True
 
     search({})
+    return found, truncated
+
+
+def reference_enumerate_structures(g, limit=None, max_pairs=24):
+    """The package's ``enumerate_structures`` before the root-addition table,
+    kept verbatim (with this file's reference validation in place of the
+    package's ``make_structure``): propagation sums each new root with every
+    isotropy root and every root assigned so far."""
+    found, truncated = reference_search(g, limit, max_pairs)
     structures = tuple(
         reference_make_structure(g, chosen)
         for chosen in sorted(found, key=lambda s: tuple(sorted(s, key=root_key)))

@@ -360,10 +360,11 @@ class TestReferenceSimplexAgreement:
 _OPTIMIZED_SCRIPT = """
 import pdclass.classifier
 import pdclass.cone
+import pdclass.grading
 import pdclass.structures
 from pdclass.classifier import curvature_signature, grading_cone_system
 from pdclass.cli import main, parse_domain
-from pdclass.errors import InternalInconsistency, ValidationFailed
+from pdclass.errors import HermitianAnomaly, InternalInconsistency, ValidationFailed
 
 if __debug__:
     raise SystemExit("assertions are still enabled")
@@ -396,6 +397,15 @@ try:
 except ValidationFailed as exc:
     if "disagree" not in str(exc):
         raise SystemExit(f"the checkers' disagreement went unreported: {exc}")
+# +-1 on every noncompact root of A2/1,1 but 2 on its compact root (1,1)
+compact_center = pdclass.grading.HodgeGrading.compact_center
+pdclass.grading.HodgeGrading.compact_center = lambda self: (1, ((1, 1),))
+try:
+    pdclass.structures.hermitian_splitting(parse_domain("A2/1,1"))
+    raise SystemExit("a center direction off a compact root left hermitian_splitting")
+except HermitianAnomaly:
+    pass
+pdclass.grading.HodgeGrading.compact_center = compact_center
 pdclass.cone.verify_certificate = lambda sys, cert: False
 try:
     pdclass.cone.decide_cone(grading_cone_system(parse_domain("E6/0,1,0,0,0,0")))

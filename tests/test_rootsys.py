@@ -108,6 +108,17 @@ def test_negatives(type_label, rank):
     assert rs.__dict__["root_table"] is table
 
 
+@pytest.mark.parametrize("type_label,rank", TABLE_SYSTEMS + [("A", 16)])
+def test_tuple_rank(type_label, rank):
+    # ranks order the roots as plain tuples do; A16 has 272 roots, more
+    # than one byte can rank
+    rs = build_root_system.__wrapped__(type_label, rank)
+    table = rs.root_table
+    assert sorted(table.tuple_rank) == list(range(len(rs.roots)))
+    by_rank = sorted(table.roots, key=lambda a: table.tuple_rank[table.index[a]])
+    assert by_rank == sorted(rs.roots)
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("X", 2)])
 def test_invalid_type_rank(type_label, rank):
     with pytest.raises(InvalidTypeRank):

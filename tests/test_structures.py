@@ -1,15 +1,17 @@
 """Tests for the Hermitian splitting, the new structure, and enumeration."""
 from __future__ import annotations
 
+import bisect
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdclass.errors import NotHermitian, TooLarge, ValidationFailed
-from pdclass.grading import make_grading
+from pdclass.errors import HermitianAnomaly, NotHermitian, TooLarge, ValidationFailed
+from pdclass.grading import HodgeGrading, make_grading
 from pdclass.rootsys import build_root_system, root_key, root_neg
 from pdclass.structures import (
     ComplexStructure,
@@ -23,6 +25,7 @@ from pdclass.structures import (
     validate_structure,
     _propagate,
     _rejected,
+    _sums,
     _sums_outside,
 )
 
@@ -31,8 +34,10 @@ from conftest import (
     SWEEP_SYSTEMS,
     brute_force_structures,
     reference_enumerate_structures,
+    reference_hermitian_splitting,
     reference_make_structure,
     reference_positive_system_of,
+    reference_search,
     reference_sums_outside,
     reference_validate_structure,
     sweep_label_vectors,
@@ -65,6 +70,24 @@ def hermitian_exceptional():
         if r in (6, 7)
     )
     return tuple(g for g in gradings if hermitian_splitting(g) is not None)
+
+
+def all_gradings(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    return (make_grading(rs, labels) for labels in sweep_label_vectors(rank))
+
+
+def splitting_outcome(split, g):
+    """``None``, the center direction and halves, or the type and message of
+    a ``HermitianAnomaly``."""
+    try:
+        hs = split(g)
+    except HermitianAnomaly as exc:
+        return "raised", str(exc)
+    if hs is None:
+        return None
+    z = hs.center_direction
+    return tuple(map(type, z)), z, hs.plus_roots, hs.minus_roots
 
 
 def sign_vectors(g):
@@ -149,6 +172,42 @@ class TestHermitianSplitting:
         for g in hermitian_gradings():
             hs = hermitian_splitting(g)
             assert not g.root_system.root_set_sum(hs.minus_roots, hs.minus_roots)
+
+    def test_same_outcome_as_the_pairwise_sums(self):
+        # every sweep grading, and every E6 and E7 grading: the same None,
+        # the same center direction and halves, or the same raise
+        gradings = itertools.chain(
+            (g for t, r in SWEEP_SYSTEMS for g in all_gradings(t, r)),
+            all_gradings("E", 6),
+            all_gradings("E", 7),
+        )
+        counts = {"None": 0, "split": 0}
+        for g in gradings:
+            outcome = splitting_outcome(hermitian_splitting, g)
+            assert outcome == splitting_outcome(reference_hermitian_splitting, g), g.labels
+            counts["None" if outcome is None else "split"] += 1
+        assert counts == {"None": 2041, "split": 1086}
+
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            # +-1 on every noncompact root, but +-2 on the compact roots
+            # +-(1,1); the first in canonical order is named
+            ((1, ((1, 1),)), "does not vanish on the compact root (-1, -1)"),
+            ((1, ((2, 1),)), "no scaling of the center direction gives values +-1"),
+            ((1, ((1, 0),)), "no scaling of the center direction gives values +-1"),
+            ((2, ((1, -1), (1, 1))), "compact center has dimension 2"),
+        ],
+        ids=["off-compact-root", "non-uniform", "zero-value", "dimension-two"],
+    )
+    def test_forged_center_direction_raises(self, a2, monkeypatch, forged, message):
+        g = make_grading(a2, (1, 1))
+        assert g.compact_roots - g.isotropy_roots == {(1, 1), (-1, -1)}
+        monkeypatch.setattr(HodgeGrading, "compact_center", lambda self: forged)
+        with pytest.raises(HermitianAnomaly, match=re.escape(message)):
+            hermitian_splitting(g)
+        with pytest.raises(HermitianAnomaly):
+            reference_hermitian_splitting(g)
 
 
 class TestValidateStructure:
@@ -404,7 +463,7 @@ class TestEnumerate:
         # would name it
         monkeypatch.setattr(
             "pdclass.structures._propagate",
-            lambda table, isotropy, assigned, pending: assigned | pending,
+            lambda table, isotropy, isotropy_sums, assigned, pending: assigned | pending,
         )
         g = make_grading(c2, (1, 1))
         ordered = sorted(tuple(sorted(c, key=root_key)) for c in sign_vectors(g))
@@ -412,6 +471,15 @@ class TestEnumerate:
         with pytest.raises(ValidationFailed) as raised:
             enumerate_structures(g)
         assert str(raised.value) == f"invalid structure: {validate_structure(g, first)[1][0]}"
+
+    def test_parabolic_built_on_first_read(self, c2):
+        g = make_grading(c2, (0, 1))
+        structures, _ = enumerate_structures(g)
+        assert not any("parabolic_roots" in cs.__dict__ for cs in structures)
+        cs = structures[0]
+        parabolic = cs.parabolic_roots
+        assert parabolic == frozenset(map(root_neg, cs.roots)) | g.isotropy_roots
+        assert cs.parabolic_roots is parabolic
 
     def test_pair_bound(self, c2):
         with pytest.raises(TooLarge):
@@ -451,20 +519,23 @@ class TestPropagation:
             rs = g.root_system
             table = rs.root_table
             isotropy = sum(1 << table.index[a] for a in g.isotropy_roots)
+            sums = [_sums(table, i, isotropy) for i in range(len(table.roots))]
 
             def roots_of(mask):
                 return frozenset(a for i, a in enumerate(table.roots) if mask >> i & 1)
 
             outside = sorted(rs.roots - g.isotropy_roots, key=root_key)
             for first in outside:
-                assigned = _propagate(table, isotropy, 0, 1 << table.index[first])
+                assigned = _propagate(table, isotropy, sums, 0, 1 << table.index[first])
                 expected_ok, expected = forced_closure(g, [first])
                 assert (assigned is not None) == expected_ok
                 if assigned is None:
                     continue
                 assert roots_of(assigned) == expected
                 for second in outside:
-                    branch = _propagate(table, isotropy, assigned, 1 << table.index[second])
+                    branch = _propagate(
+                        table, isotropy, sums, assigned, 1 << table.index[second]
+                    )
                     expected_ok, expected = forced_closure(g, [first, second])
                     assert (branch is not None) == expected_ok, (g.labels, first, second)
                     if branch is not None:
@@ -633,7 +704,7 @@ class TestReferenceAgreement:
             if len(g.tangent_roots) > 7:
                 continue
             for chosen in sign_vectors(g):
-                cs = ComplexStructure(roots=chosen, parabolic_roots=frozenset())
+                cs = ComplexStructure(roots=chosen, isotropy_roots=g.isotropy_roots)
                 outcome = validation_outcome(positive_system_of, g, cs)
                 assert outcome == validation_outcome(reference_positive_system_of, g, cs)
                 checked += 1
@@ -656,6 +727,29 @@ class TestReferenceAgreement:
                 expected, expected_truncated = reference_enumerate_structures(g, limit=limit)
                 assert truncated == expected_truncated
                 assert [cs.roots for cs in structures] == [cs.roots for cs in expected]
+        # every limit up to the full count, so that a search taking the
+        # structures in another order keeps another prefix.  The gradings of
+        # B4 and C4 with 16 root pairs have no isotropy, so each system poses
+        # one search: it is run at every limit on the first such grading,
+        # and every grading must give its full output
+        for type_label in "BC":
+            expected = None
+            for g in all_gradings(type_label, 4):
+                if g.isotropy_roots:
+                    continue
+                if expected is None:
+                    order, _ = reference_search(g)
+                    assert len(order) == 384
+                    expected = []
+                    for limit, found in enumerate(order, 1):
+                        bisect.insort(expected, (tuple(sorted(found, key=root_key)), found))
+                        structures, truncated = enumerate_structures(g, limit=limit)
+                        assert truncated == (limit < len(order))
+                        assert [cs.roots for cs in structures] == [s for _, s in expected]
+                structures, truncated = enumerate_structures(g)
+                assert not truncated
+                assert [cs.roots for cs in structures] == [s for _, s in expected]
+            assert expected is not None
 
     @settings(deadline=None, max_examples=300)
     @given(mixed_candidate())
