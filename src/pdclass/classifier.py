@@ -21,7 +21,8 @@ from .rootsys import Root, root_add, root_key, root_neg
 
 @dataclass(frozen=True, eq=False)
 class DomainReport:
-    """Full verdict for one grading, with proof objects for both outcomes."""
+    """Full verdict for one grading, with proof objects for both outcomes;
+    ``cone_system`` is the system the cone route decided on."""
 
     type_label: str
     rank: int
@@ -37,6 +38,7 @@ class DomainReport:
     farkas: FarkasCertificate | None
     bracket_generates: bool
     closure_trace: tuple[Root, ...]
+    cone_system: ConeSystem
 
     @property
     def domain_text(self) -> str:
@@ -208,7 +210,9 @@ def classify(g: HodgeGrading) -> DomainReport:
     from .structures import hermitian_splitting
 
     classical, pair = is_classical_definitional(g)
-    decision = cone_criterion(g)
+    # the cone route as in cone_criterion, keeping the system for the report
+    system = grading_cone_system(g)
+    decision = decide_cone(system)
     generates, trace = bracket_generation(g)
     verdicts = {
         "definitional": classical,
@@ -242,4 +246,5 @@ def classify(g: HodgeGrading) -> DomainReport:
         farkas=decision.certificate,
         bracket_generates=generates,
         closure_trace=trace,
+        cone_system=system,
     )

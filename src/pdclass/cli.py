@@ -472,13 +472,16 @@ def _resolve(args, key, config, default, convert=str):
 
 def _sweep_options(args, config) -> tuple[list[str], int, int, int]:
     """Types, max rank, oracle radius and job count of a survey or verify
-    sweep; a radius or job count below 1 is rejected before any sweep is
-    built.  ``verify`` runs serially and takes no job count."""
+    sweep; an empty family list, or a max rank, radius or job count below 1,
+    is rejected before any sweep is built, since an empty sweep checks
+    nothing.  ``verify`` runs serially and takes no job count."""
     types = _resolve(args, "types", config, DEFAULT_TYPES).split(",")
     max_rank = _resolve(args, "max_rank", config, DEFAULT_MAX_RANK, int)
     radius = _resolve(args, "radius", config, DEFAULT_RADIUS, int)
     jobs = _resolve(args, "jobs", config, 1, int) if args.subcommand == "survey" else 1
-    for name, value in (("radius", radius), ("jobs", jobs)):
+    if not any(t.strip() for t in types):
+        raise UsageError("the family list is empty")
+    for name, value in (("max rank", max_rank), ("radius", radius), ("jobs", jobs)):
         if value < 1:
             raise UsageError(f"{name} must be >= 1, got {value}")
     return types, max_rank, radius, jobs

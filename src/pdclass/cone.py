@@ -13,9 +13,10 @@ least-index rule, which makes every solve terminate.
 
 Whichever way the decision goes, the proof object is checked in exact
 integers inside the solve and again before it leaves this module; a Farkas
-certificate is replayed by :func:`verify_certificate` in plain Fractions,
-independently of the tableau.  Every check raises ``InternalInconsistency``,
-so none of them disappears under ``python -O``.
+certificate is replayed by :func:`verify_certificate` in integers over each
+combination's common denominator, independently of the tableau.  Every check
+raises ``InternalInconsistency``, so none of them disappears under
+``python -O``.
 """
 from __future__ import annotations
 
@@ -207,17 +208,30 @@ def verify_certificate(sys: ConeSystem, cert: FarkasCertificate) -> bool:
     """Replay the rational arithmetic: every combination must be nonnegative
     and sum exactly to its direction, and all 2r directions must be covered.
 
-    The sums run over the nonzero coefficients only; a basic solution has at
-    most r of them out of m."""
+    Each combination is replayed in integers over its common denominator:
+    the coefficients (``int`` or ``Fraction``) times the lcm of their
+    denominators, applied to the integer normals, must sum to that lcm times
+    the direction.  The sums run over the nonzero coefficients only; a basic
+    solution has at most r of them out of m.  The replay reads nothing of
+    the tableau that produced the certificate."""
     directions = signed_directions(sys.dimension)
     if cert.dimension != sys.dimension or len(cert.combinations) != len(directions):
         return False
     m = len(sys.normals)
     for direction, coeffs in zip(directions, cert.combinations):
-        if len(coeffs) != m or any(c < 0 for c in coeffs):
+        if len(coeffs) != m:
             return False
-        support = [(c, n) for c, n in zip(coeffs, sys.normals) if c]
-        for i in range(sys.dimension):
-            if sum(c * n[i] for c, n in support) != direction[i]:
-                return False
+        # a Fraction keeps its sign in the numerator
+        support = [
+            (c.numerator, c.denominator, n) for c, n in zip(coeffs, sys.normals) if c
+        ]
+        if any(p < 0 for p, _, _ in support):
+            return False
+        scale = lcm(*(q for _, q, _ in support))
+        total = [0] * sys.dimension
+        for p, q, n in support:
+            k = p * (scale // q)
+            total = [s + k * x for s, x in zip(total, n)]
+        if total != [scale * t for t in direction]:
+            return False
     return True

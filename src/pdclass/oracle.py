@@ -2,8 +2,9 @@
 
 The lattice search is a deliberately simple one-sided decider: scanning a box
 can find a cone point the simplex route must then agree on, but an empty box
-proves nothing.  It is a brute-force scan with exact prefix pruning: it skips
-only prefixes that no completion can bring into the cone, so it returns the
+proves nothing.  It is a brute-force scan with exact interval pruning: each
+coordinate runs only over the integer interval that every inequality can
+still reach, so the scan skips only points outside the cone and returns the
 same first point as the full lexicographic scan, in integers and with no code
 of the simplex route.  The survey runs every grading of the requested types
 through all routes at once and reports disagreements as data instead of
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from itertools import groupby, product
 from typing import Iterable, Sequence
 
+# grading_cone_system stays bound here for the span tracer in perfbench/tracing.py
 from .classifier import classify, grading_cone_system
 from .cone import ConeSystem
 from .errors import InternalInconsistency, InvalidTypeRank
@@ -75,16 +77,22 @@ def lattice_cone_search(system: ConeSystem, radius: int) -> tuple[int, ...] | No
 
     One-sided: None never proves the cone trivial.  The scan is depth first:
     coordinates are fixed in order, each from -radius up to radius, which is
-    the order of ``itertools.product``.  A prefix is dropped as soon as some
-    inequality stays negative even if every remaining coordinate adds the
-    most it can (radius times the absolute coefficient), so every point
-    skipped lies outside the cone and the first point found is the
+    the order of ``itertools.product``.  At each depth the values the next
+    coordinate may take form one integer interval.  Row j, with partial sum
+    s over the fixed coordinates, coefficient a and reach t (the most the
+    later coordinates can add, radius times their absolute coefficients),
+    stays satisfiable exactly when ``b + a * x >= 0`` for ``b = s + t``: that
+    is ``x >= -(b // a)`` for a > 0 and ``x <= b // -a`` for a < 0, and a
+    zero coefficient with b < 0 drops the whole prefix.  Every value outside
+    the intersection of these intervals leaves some row negative whatever
+    follows, so every point skipped lies outside the cone, the values inside
+    are scanned in increasing order, and the first point found is the
     brute-force one.  The scan reads the integer normals of the system as
     they are.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    dim = system.dimension
+    last = system.dimension - 1
     columns = list(zip(*system.normals))
     zero = (0,) * len(system.normals)
     # reach[k][j]: the largest amount coordinates k, k+1, ... can add to row j
@@ -92,22 +100,36 @@ def lattice_cone_search(system: ConeSystem, radius: int) -> tuple[int, ...] | No
     for column in reversed(columns):
         reach.append(tuple(t + radius * abs(a) for t, a in zip(reach[-1], column)))
     reach.reverse()
-    values = range(-radius, radius + 1)
-    point = [0] * dim
+    point = [0] * (last + 1)
 
     def scan(k: int, sums: tuple[int, ...]) -> tuple[int, ...] | None:
-        column, after = columns[k], reach[k + 1]
-        for x in values:
+        column = columns[k]
+        lo, hi = -radius, radius
+        for s, t, a in zip(sums, reach[k + 1], column):
+            if a > 0:
+                x = -((s + t) // a)
+                if x > lo:
+                    lo = x
+            elif a < 0:
+                x = (s + t) // -a
+                if x < hi:
+                    hi = x
+            elif s + t < 0:
+                return None
+        if k == last:
+            # every value in [lo, hi] completes a cone point; the first one
+            # that is not the origin is the answer
+            if lo == 0 and not any(point[:k]):
+                lo = 1
+            if lo > hi:
+                return None
+            point[k] = lo
+            return tuple(point)
+        for x in range(lo, hi + 1):
             point[k] = x
-            partial = tuple(s + a * x for s, a in zip(sums, column))
-            if any(s + t < 0 for s, t in zip(partial, after)):
-                continue
-            if k + 1 < dim:
-                found = scan(k + 1, partial)
-                if found is not None:
-                    return found
-            elif any(point):
-                return tuple(point)
+            found = scan(k + 1, tuple(s + a * x for s, a in zip(sums, column)))
+            if found is not None:
+                return found
         return None
 
     return scan(0, zero)
@@ -147,12 +169,12 @@ def _structures_checks(g) -> None:
 def check_instance(
     type_label: str, rank: int, labels: tuple[int, ...], radius: int = DEFAULT_RADIUS
 ) -> SurveyRow:
-    """Classify one grading and cross-check every route against the others."""
+    """Classify one grading and cross-check every route against the others;
+    the lattice scan runs on the cone system the cone route decided on."""
     rs = build_root_system(type_label, rank)
     g = make_grading(rs, labels)
     report = classify(g)
-    system = grading_cone_system(g)
-    point = lattice_cone_search(system, radius)
+    point = lattice_cone_search(report.cone_system, radius)
     if point is not None and not report.classical:
         raise InternalInconsistency(
             f"lattice point {point} found in a cone declared trivial"
@@ -179,10 +201,13 @@ def survey_crosscheck(
     failures rather than raising.
 
     Instance order is lexicographic and the merge preserves it, so the result
-    is identical for any job count.  A radius or job count below 1 raises
-    ``ValueError`` before any grading is built.
+    is identical for any job count.  An empty family list, or a max rank,
+    radius or job count below 1, raises ``ValueError`` before any grading is
+    built: an empty sweep checks nothing.
     """
-    for name, value in (("radius", radius), ("jobs", jobs)):
+    if not any(t.strip() for t in types):
+        raise ValueError("the family list is empty")
+    for name, value in (("max rank", max_rank), ("radius", radius), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     instances = sweep_instances(types, max_rank)

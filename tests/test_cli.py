@@ -436,6 +436,41 @@ class TestRadiusBound:
             assert err == f"error[USAGE]: jobs must be >= 1, got {jobs}\n"
 
 
+    @pytest.mark.parametrize("subcommand", ["survey", "verify"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--max-rank", "0"], "max rank must be >= 1, got 0"),
+            (["--max-rank", "-3"], "max rank must be >= 1, got -3"),
+            (["--types", ","], "the family list is empty"),
+            (["--types", " , "], "the family list is empty"),
+        ],
+    )
+    def test_empty_sweep_rejected_before_the_sweep(
+        self, capsys, nothing_built, subcommand, option, message
+    ):
+        # an empty sweep would print "ok (0 gradings)" for every check
+        code, out, err = run_cli(capsys, subcommand, *option)
+        assert (code, out) == (1, "")
+        assert err == f"error[USAGE]: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_rank = 0", "max rank must be >= 1, got 0"),
+            ("types = ,", "the family list is empty"),
+        ],
+    )
+    def test_empty_sweep_from_config_rejected(
+        self, capsys, tmp_path, nothing_built, line, message
+    ):
+        config = tmp_path / "pdclass.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "survey", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error[USAGE]: {message}\n"
+
+
 @pytest.mark.usefixtures("nothing_built")
 class TestFormats:
     """The format is checked against the subcommand before anything is built."""
@@ -647,6 +682,18 @@ class TestScripts:
         proc = self.run_script("run_survey.py", option, "0")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.endswith(f"error: {option[2:]} must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-rank", "0"], "max rank must be >= 1, got 0"),
+            (["--types", ","], "the family list is empty"),
+        ],
+    )
+    def test_run_survey_rejects_an_empty_sweep(self, argv, message):
+        proc = self.run_script("run_survey.py", *argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(f"error: {message}\n")
 
     def test_run_survey_rejects_unknown_family(self):
         proc = self.run_script("run_survey.py", "--types", "X")

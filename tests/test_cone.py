@@ -199,6 +199,65 @@ class TestCertificates:
         bad = FarkasCertificate(sys.dimension, tuple(combos))
         assert not verify_certificate(sys, bad)
 
+    # the cone of (2, 0), (0, 3), (-1, -1) is {0}; a valid combination for
+    # -e1 is (1/2, 2/3, 2), with denominators 2, 3 and 1 (common one 6)
+    MIXED = make_cone_system([(2, 0), (0, 3), (-1, -1)])
+    MIXED_COMBINATIONS = (
+        (Fraction(1, 2), 0, 0),
+        (Fraction(1, 2), Fraction(2, 3), 2),
+        (0, Fraction(1, 3), 0),
+        (Fraction(1, 2), 0, 1),
+    )
+
+    def test_mixed_denominators_replay(self):
+        assert verify_certificate(
+            self.MIXED, FarkasCertificate(2, self.MIXED_COMBINATIONS)
+        )
+        assert decide_cone(self.MIXED).trivial
+
+    def test_tampered_mixed_denominators_rejected(self):
+        # 1/2 and 1/3 in one combination: (1 - 2, 1 - 2) = (-1, -1) != -e1
+        combos = list(self.MIXED_COMBINATIONS)
+        combos[1] = (Fraction(1, 2), Fraction(1, 3), 2)
+        assert not verify_certificate(self.MIXED, FarkasCertificate(2, tuple(combos)))
+        # (1, 1) for +e1: right in the first coordinate, wrong in the second
+        combos = list(self.MIXED_COMBINATIONS)
+        combos[0] = (Fraction(1, 2), Fraction(1, 3), 0)
+        assert not verify_certificate(self.MIXED, FarkasCertificate(2, tuple(combos)))
+
+    def test_plain_int_coefficients(self):
+        sys = make_cone_system([(1, 0), (0, 1), (-1, -1)])
+        good = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1))
+        assert verify_certificate(sys, FarkasCertificate(2, good))
+        forged = ((1, 0, 0), (0, 1, 2), (0, 1, 0), (1, 0, 1))
+        assert not verify_certificate(sys, FarkasCertificate(2, forged))
+        mixed = ((Fraction(1), 0, 0), (0, 1, Fraction(1, 2)), (0, 1, 0), (1, 0, 1))
+        assert not verify_certificate(sys, FarkasCertificate(2, mixed))
+
+    def test_empty_support_rejected(self):
+        # an all-zero combination sums to the origin, never to a direction
+        combos = list(self.MIXED_COMBINATIONS)
+        for k in range(len(combos)):
+            forged = combos[:k] + [(0, Fraction(0), 0)] + combos[k + 1 :]
+            assert not verify_certificate(
+                self.MIXED, FarkasCertificate(2, tuple(forged))
+            )
+
+    def test_negative_numerator_rejected(self):
+        # -1/2 times (-2, 0) is +e1: the right sum with a negative coefficient
+        sys = make_cone_system([(2, 0), (-2, 0), (0, 1), (0, -1)])
+        good = (
+            (Fraction(1, 2), 0, 0, 0),
+            (0, Fraction(1, 2), 0, 0),
+            (0, 0, 1, 0),
+            (0, 0, 0, 1),
+        )
+        assert verify_certificate(sys, FarkasCertificate(2, good))
+        forged = list(good)
+        forged[0] = (0, Fraction(-1, 2), 0, 0)
+        assert sum(c * n[0] for c, n in zip(forged[0], sys.normals)) == 1
+        assert not verify_certificate(sys, FarkasCertificate(2, tuple(forged)))
+
     def test_wrong_shape_rejected(self):
         sys = grading_cone("C", 2, (1, 1))
         cert = decide_cone(sys).certificate

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdclass.classifier
 import pdclass.oracle
 from pdclass.classifier import (
     classify,
@@ -241,6 +242,41 @@ class TestSurvey:
         for jobs in (0, -3):
             with pytest.raises(ValueError, match="jobs must be >= 1"):
                 survey_crosscheck(["A", "C"], 2, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "types, max_rank, message",
+        [
+            (["A", "C"], 0, "max rank must be >= 1, got 0"),
+            (["A", "C"], -3, "max rank must be >= 1, got -3"),
+            ([], 2, "the family list is empty"),
+            (["", " "], 2, "the family list is empty"),
+        ],
+    )
+    def test_empty_sweep_raises_before_the_sweep(
+        self, monkeypatch, types, max_rank, message
+    ):
+        def forbidden(*args):
+            raise AssertionError("sweep or root system built before the input check")
+
+        monkeypatch.setattr(pdclass.oracle, "sweep_instances", forbidden)
+        monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
+        with pytest.raises(ValueError, match=message):
+            survey_crosscheck(types, max_rank)
+
+    def test_one_cone_system_per_grading(self, monkeypatch):
+        # the lattice oracle reads the system the cone route decided on
+        built = []
+        make_cone_system = pdclass.classifier.make_cone_system
+
+        def counting(normals):
+            built.append(normals)
+            return make_cone_system(normals)
+
+        monkeypatch.setattr(pdclass.classifier, "make_cone_system", counting)
+        result = survey_crosscheck(["C"], 2)
+        assert result.failures == ()
+        assert len(result.rows) == 5
+        assert len(built) == 5
 
     def test_rows_align_with_classify(self):
         result = survey_crosscheck(["B"], 2)
