@@ -221,10 +221,16 @@ def verify_certificate(sys: ConeSystem, cert: FarkasCertificate) -> bool:
     for direction, coeffs in zip(directions, cert.combinations):
         if len(coeffs) != m:
             return False
-        # a Fraction keeps its sign in the numerator
-        support = [
-            (c.numerator, c.denominator, n) for c, n in zip(coeffs, sys.normals) if c
-        ]
+        # a Fraction keeps its sign in the numerator; a coefficient without
+        # one (a float, say) is no exact certificate
+        try:
+            support = [
+                (c.numerator, c.denominator, n)
+                for c, n in zip(coeffs, sys.normals)
+                if c
+            ]
+        except AttributeError:
+            return False
         if any(p < 0 for p, _, _ in support):
             return False
         scale = lcm(*(q for _, q, _ in support))

@@ -234,6 +234,11 @@ class TestCertificates:
         mixed = ((Fraction(1), 0, 0), (0, 1, Fraction(1, 2)), (0, 1, 0), (1, 0, 1))
         assert not verify_certificate(sys, FarkasCertificate(2, mixed))
 
+    def test_float_coefficient_rejected(self):
+        combos = list(self.MIXED_COMBINATIONS)
+        combos[0] = (0.5, 0, 0)
+        assert not verify_certificate(self.MIXED, FarkasCertificate(2, tuple(combos)))
+
     def test_empty_support_rejected(self):
         # an all-zero combination sums to the origin, never to a direction
         combos = list(self.MIXED_COMBINATIONS)
