@@ -1,9 +1,9 @@
 """Timed classification survey over whole families.
 
 Classifies every admissible label vector for the requested families, lets the
-lattice oracle cross-check each verdict, and tabulates the classical fraction
-by family and rank.  A nonzero exit code means at least one instance failed
-its cross-checks; the failing domains are listed.
+lattice oracle cross-check each parity class's verdict, and tabulates the
+classical fraction by family and rank.  A nonzero exit code means at least
+one instance failed its cross-checks; the failing domains are listed.
 
     python3 scripts/run_survey.py
     python3 scripts/run_survey.py --types B,C --max-rank 4 --jobs 4 --csv out.csv

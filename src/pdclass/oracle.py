@@ -1,4 +1,4 @@
-"""Brute-force cross-checks for the main algorithms.
+"""Brute-force cross-checks for the main algorithms, and the survey.
 
 The lattice search is a deliberately simple one-sided decider: scanning a box
 can find a cone point the simplex route must then agree on, but an empty box
@@ -6,22 +6,34 @@ proves nothing.  It is a brute-force scan with exact interval pruning: each
 coordinate runs only over the integer interval that every inequality can
 still reach, so the scan skips only points outside the cone and returns the
 same first point as the full lexicographic scan, in integers and with no code
-of the simplex route.  The survey runs every grading of the requested types
-through all routes at once and reports disagreements as data instead of
-crashing.
+of the simplex route.
+
+The survey reports disagreements as data instead of crashing, and it works
+by parity class.  A root is compact exactly when its grade is even, so the
+compact and noncompact positives depend only on which labels equal 1 (the
+Hodge-parity split of Griffiths and Schmid), and so does everything built
+from them alone: the cone system, its decision and certificate, the lattice
+point, ``m0`` and the Hermitian type.  One grading per class runs
+:func:`check_instance` in full.  Every grading builds its own root sets and
+runs its own definitional and bracket routes, and the structures checks when
+non-classical and Hermitian, since the isotropy depends on the 0/2 choice.
+So all three routes run once per distinct cone system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby, product
 from typing import Iterable, Sequence
 
-# grading_cone_system stays bound here for the span tracer in perfbench/tracing.py
+# the survey calls the per-grading routes on the classifier module, where the
+# span tracer in perfbench/tracing.py wraps them
+from . import classifier
+# grading_cone_system stays bound here for the span tracer
 from .classifier import classify, grading_cone_system
 from .cone import ConeSystem
 from .errors import InternalInconsistency, InvalidTypeRank
 from .grading import domain_text, make_grading
-from .rootsys import FAMILY_RANKS, build_root_system
+from .rootsys import FAMILY_RANKS, Root, build_root_system
 # validate_structure stays bound here for the span tracer in perfbench/tracing.py
 from .structures import new_complex_structure, positive_system_of, validate_structure
 
@@ -169,8 +181,11 @@ def _structures_checks(g) -> None:
 def check_instance(
     type_label: str, rank: int, labels: tuple[int, ...], radius: int = DEFAULT_RADIUS
 ) -> SurveyRow:
-    """Classify one grading and cross-check every route against the others;
-    the lattice scan runs on the cone system the cone route decided on."""
+    """Classify one grading and cross-check every route against the others:
+    ``classify``, the lattice scan on the cone system the cone route decided
+    on, and the structures checks when non-classical and Hermitian.  The
+    survey runs it on the first grading of each parity class, and on every
+    grading of a class whose first grading failed."""
     rs = build_root_system(type_label, rank)
     g = make_grading(rs, labels)
     report = classify(g)
@@ -191,19 +206,77 @@ def check_instance(
     return SurveyRow.from_report(report)
 
 
+def _check_member(
+    type_label: str,
+    rank: int,
+    labels: tuple[int, ...],
+    split: tuple[tuple[Root, ...], tuple[Root, ...]],
+    verdict: SurveyRow,
+) -> SurveyRow:
+    """Another grading of a class whose first grading passed
+    ``check_instance``: its compact and noncompact positives must equal the
+    class's ``split`` as exact tuples, and its own definitional and bracket
+    routes must reach the class verdict."""
+    g = make_grading(build_root_system(type_label, rank), labels)
+    if (g.compact_positive, g.noncompact_positive) != split:
+        raise InternalInconsistency("root split differs from its parity class")
+    classical, _ = classifier.is_classical_definitional(g)
+    generates, _ = classifier.bracket_generation(g)
+    if classical != verdict.classical or generates == verdict.classical:
+        raise InternalInconsistency(
+            f"routes disagree with the parity class: definitional "
+            f"{classical}, bracket {not generates}, class {verdict.classical}"
+        )
+    if not classical and verdict.hermitian:
+        _structures_checks(g)
+    return replace(verdict, labels=g.labels, m0=g.m0, dim_D=g.dim_D)
+
+
+def _survey_class(
+    members: list[tuple[str, int, tuple[int, ...]]], radius: int
+) -> list[tuple[SurveyRow | None, tuple[str, str] | None]]:
+    """(row, failure) per member of one parity class, in the members' order.
+
+    The first member runs ``check_instance``.  If it fails, every other
+    member runs ``check_instance`` on its own, so one fault neither spreads
+    a verdict nor hides a failure.
+    """
+
+    def attempt(check, instance, *args):
+        try:
+            return check(*instance, *args), None
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            return None, (domain_text(*instance), f"{type(exc).__name__}: {exc}")
+
+    first, others = members[0], members[1:]
+    verdict, failure = attempt(check_instance, first, radius)
+    if verdict is None:
+        return [(None, failure)] + [attempt(check_instance, m, radius) for m in others]
+    if not others:
+        return [(verdict, None)]
+    g = make_grading(build_root_system(first[0], first[1]), first[2])
+    split = (g.compact_positive, g.noncompact_positive)
+    return [(verdict, None)] + [attempt(_check_member, m, split, verdict) for m in others]
+
+
 def survey_crosscheck(
     types: Sequence[str],
     max_rank: int,
     radius: int = DEFAULT_RADIUS,
     jobs: int = 1,
 ) -> SurveyResult:
-    """Run every sweep grading through all routes; tabulate and collect
-    failures rather than raising.
+    """Run every sweep grading through all routes, one parity class at a
+    time; tabulate and collect failures rather than raising.
 
-    Instance order is lexicographic and the merge preserves it, so the result
-    is identical for any job count.  An empty family list, or a max rank,
-    radius or job count below 1, raises ``ValueError`` before any grading is
-    built: an empty sweep checks nothing.
+    Per class, the first grading in sweep order runs ``check_instance``.
+    Every other one must show the same compact and noncompact positives, its
+    own definitional and bracket routes must reach the class verdict, and
+    its row takes the verdict and Hermitian type from the class (see
+    ``_check_member``).  The class table lives for one call.  ``jobs`` only
+    spreads the class tasks over threads; rows merge back into sweep order,
+    so the result is the same for any job count.  An empty family list, or
+    a max rank, radius or job count below 1, raises ``ValueError`` before
+    any grading is built: an empty sweep checks nothing.
     """
     if not any(t.strip() for t in types):
         raise ValueError("the family list is empty")
@@ -211,24 +284,29 @@ def survey_crosscheck(
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     instances = sweep_instances(types, max_rank)
+    # parity class -> indices of its gradings; a root is compact exactly when
+    # its grade is even, and only labels equal to 1 add odd amounts to a grade
+    classes: dict[tuple, list[int]] = {}
+    for index, (type_label, rank, labels) in enumerate(instances):
+        key = type_label, rank, tuple(c == 1 for c in labels)
+        classes.setdefault(key, []).append(index)
 
-    def run(instance):
-        type_label, rank, labels = instance
-        try:
-            return check_instance(type_label, rank, labels, radius), None
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            domain = domain_text(type_label, rank, labels)
-            return None, (domain, f"{type(exc).__name__}: {exc}")
+    def run(indices):
+        return _survey_class([instances[i] for i in indices], radius)
 
     if jobs > 1:
         # imported here: only a pooled survey pays for concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, instances))
+            per_class = list(pool.map(run, classes.values()))
     else:
-        outcomes = [run(instance) for instance in instances]
+        per_class = [run(indices) for indices in classes.values()]
 
+    outcomes = [None] * len(instances)
+    for indices, class_outcomes in zip(classes.values(), per_class):
+        for index, item in zip(indices, class_outcomes):
+            outcomes[index] = item
     rows = tuple(row for row, _ in outcomes if row is not None)
     failures = tuple(failure for _, failure in outcomes if failure is not None)
     # rows come in sweep order, so each (type, rank) group is contiguous

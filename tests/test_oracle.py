@@ -1,6 +1,8 @@
 """Tests for the lattice-box oracle and the survey cross-check."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,12 +25,33 @@ from pdclass.rootsys import build_root_system
 
 from conftest import SWEEP_SYSTEMS, lattice_points_in_cone, sweep_label_vectors
 
+SWEEP_FAMILIES = sorted({type_label for type_label, _ in SWEEP_SYSTEMS})
+SWEEP_MAX_RANK = max(rank for _, rank in SWEEP_SYSTEMS)
+
 
 def assert_scan_matches_brute_force(system, radius):
     """The pruned scan returns the full scan's first hit, or None."""
     hits = lattice_points_in_cone(system.normals, radius, system.dimension)
     found = lattice_cone_search(system, radius)
     assert found == (hits[0] if hits else None), (system.normals, radius)
+
+
+def row_fields(row):
+    return (
+        row.type_label, row.rank, row.labels, row.classical, row.hermitian, row.m0, row.dim_D
+    )
+
+
+def counting(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends its arguments to
+    ``calls``."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def exceptional_sample(rank):
@@ -213,14 +236,7 @@ class TestSurvey:
     def test_job_count_does_not_change_result(self):
         serial = survey_crosscheck(["A", "C", "G"], 2)
         threaded = survey_crosscheck(["A", "C", "G"], 2, jobs=4)
-
-        def flat(result):
-            return [
-                (r.type_label, r.rank, r.labels, r.classical, r.hermitian, r.m0, r.dim_D)
-                for r in result.rows
-            ]
-
-        assert flat(serial) == flat(threaded)
+        assert list(map(row_fields, serial.rows)) == list(map(row_fields, threaded.rows))
         assert serial.failures == threaded.failures
 
     def test_radius_below_one_raises_before_the_sweep(self, monkeypatch):
@@ -264,7 +280,9 @@ class TestSurvey:
             survey_crosscheck(types, max_rank)
 
     def test_one_cone_system_per_grading(self, monkeypatch):
-        # the lattice oracle reads the system the cone route decided on
+        # the lattice oracle reads the system the cone route decided on, and
+        # only the first grading of each parity class builds one: C2's five
+        # gradings fall into three classes
         built = []
         make_cone_system = pdclass.classifier.make_cone_system
 
@@ -276,7 +294,7 @@ class TestSurvey:
         result = survey_crosscheck(["C"], 2)
         assert result.failures == ()
         assert len(result.rows) == 5
-        assert len(built) == 5
+        assert len(built) == 3
 
     def test_rows_align_with_classify(self):
         result = survey_crosscheck(["B"], 2)
@@ -286,3 +304,97 @@ class TestSurvey:
             assert row.classical == report.classical
             assert row.hermitian == bool(report.hermitian_type)
             assert (row.m0, row.dim_D) == (report.m0, report.dim_D)
+
+
+class TestParityClasses:
+    """The survey decides the cone once per parity class (which labels equal
+    1) and runs the definitional and bracket routes on every grading."""
+
+    def test_work_per_class_and_per_grading_on_the_sweep(self, monkeypatch):
+        names = ("decide", "lattice", "definitional", "bracket", "grading", "structures")
+        calls = {name: [] for name in names}
+        counting(monkeypatch, pdclass.classifier, "decide_cone", calls["decide"])
+        counting(monkeypatch, pdclass.oracle, "lattice_cone_search", calls["lattice"])
+        counting(
+            monkeypatch, pdclass.classifier, "is_classical_definitional", calls["definitional"]
+        )
+        counting(monkeypatch, pdclass.classifier, "bracket_generation", calls["bracket"])
+        counting(monkeypatch, pdclass.oracle, "make_grading", calls["grading"])
+        counting(monkeypatch, pdclass.oracle, "new_complex_structure", calls["structures"])
+        result = survey_crosscheck(SWEEP_FAMILIES, SWEEP_MAX_RANK)
+        assert result.failures == ()
+        assert len(result.rows) == 403
+        assert len(calls["decide"]) == len(calls["lattice"]) == 109
+        assert len(calls["definitional"]) == len(calls["bracket"]) == 403
+        # each grading once, plus the first grading of a class with others
+        assert 403 <= len(calls["grading"]) <= 403 + 109
+        graded = {(g.root_system.type_label, g.labels) for (g,) in calls["definitional"]}
+        assert len(graded) == 403
+        # the structures checks on every non-classical Hermitian grading
+        assert len(calls["structures"]) == sum(
+            not row.classical and row.hermitian for row in result.rows
+        ) == 113
+
+    def test_rows_equal_per_grading_check_instance_rows(self):
+        result = survey_crosscheck(SWEEP_FAMILIES, SWEEP_MAX_RANK)
+        instances = sweep_instances(SWEEP_FAMILIES, SWEEP_MAX_RANK)
+        assert [row_fields(row) for row in result.rows] == [
+            row_fields(check_instance(*instance)) for instance in instances
+        ]
+
+    def test_member_with_a_different_split_fails_alone(self, monkeypatch):
+        # C2/0,1 and C2/2,1 form one class; C2/2,1 is its second member
+        original = pdclass.oracle.make_grading
+
+        def forged(rs, labels):
+            g = original(rs, labels)
+            if tuple(labels) == (2, 1):
+                return replace(g, compact_positive=g.compact_positive[1:])
+            return g
+
+        monkeypatch.setattr(pdclass.oracle, "make_grading", forged)
+        result = survey_crosscheck(["C"], 2)
+        assert [domain for domain, _ in result.failures] == ["C2/2,1"]
+        assert result.failures[0][1].startswith("InternalInconsistency: root split")
+        assert [row.labels for row in result.rows] == [(0, 1), (1, 0), (1, 1), (1, 2)]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_failed_representative_leaves_its_class_checked_one_by_one(
+        self, monkeypatch, jobs
+    ):
+        # the class of A3/0,1,0 has the members (0,1,0), (0,1,2), (2,1,0), (2,1,2)
+        checked = []
+        original = pdclass.oracle.check_instance
+
+        def failing(type_label, rank, labels, radius):
+            checked.append(labels)
+            if labels == (0, 1, 0):
+                raise RuntimeError("forged fault")
+            return original(type_label, rank, labels, radius)
+
+        monkeypatch.setattr(pdclass.oracle, "check_instance", failing)
+        result = survey_crosscheck(["A"], 3, jobs=jobs)
+        assert result.failures == (("A3/0,1,0", "RuntimeError: forged fault"),)
+        members = [(0, 1, 2), (2, 1, 0), (2, 1, 2)]
+        assert all(labels in checked for labels in members)
+        reference = {
+            labels: row_fields(original("A", 3, labels, 3)) for labels in members
+        }
+        rows = {row.labels: row_fields(row) for row in result.rows if row.rank == 3}
+        assert {labels: rows[labels] for labels in members} == reference
+        assert len(result.rows) == 1 + 5 + 18
+
+    @pytest.mark.parametrize("route", ["is_classical_definitional", "bracket_generation"])
+    def test_member_whose_route_disagrees_fails_alone(self, monkeypatch, route):
+        # C2/1,2 is the second member of the class of C2/1,0
+        original = getattr(pdclass.classifier, route)
+
+        def flipped(g):
+            verdict, proof = original(g)
+            return (not verdict if g.labels == (1, 2) else verdict), proof
+
+        monkeypatch.setattr(pdclass.classifier, route, flipped)
+        result = survey_crosscheck(["C"], 2)
+        assert [domain for domain, _ in result.failures] == ["C2/1,2"]
+        assert "routes disagree with the parity class" in result.failures[0][1]
+        assert len(result.rows) == 4
