@@ -15,12 +15,11 @@ globally; the test suite asserts that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import mul
 from typing import Sequence
 
-from .cone import _coprime_integers
 from .errors import CompactForm, InternalInconsistency, LabelOutOfRange
 from .rootsys import Root, RootSystem, root_add, root_neg
 
@@ -34,11 +33,11 @@ def rational_nullspace(rows: Sequence[Sequence[int]], dim: int) -> CenterBasis:
     Forward elimination stays in integers: each row is reduced against the
     pivot rows found so far by cross-multiplication, and a row that survives
     becomes a pivot row, divided by its gcd.  Full rank returns ``()`` at
-    once.  Otherwise the at most ``dim`` pivot rows are back-substituted in
-    Fractions into the reduced row echelon form, which is unique, so the
-    basis is the one Gauss-Jordan elimination gives: one vector per free
-    column, scaled to coprime integers with its first nonzero coordinate
-    positive.
+    once.  Otherwise each free column gives one basis vector, 1 there and 0
+    on the other free columns, with the pivot columns solved in integers,
+    last pivot first, scaling the vector where a division would not be
+    exact.  Divided by its gcd and signed so its first nonzero coordinate is
+    positive, it is the Gauss-Jordan basis vector in coprime integers.
     """
     pivot_rows: dict[int, list[int]] = {}
     for row in rows:
@@ -55,32 +54,28 @@ def rational_nullspace(rows: Sequence[Sequence[int]], dim: int) -> CenterBasis:
         pivot_rows[lead] = [x // g for x in row] if g > 1 else row
         if len(pivot_rows) == dim:
             return ()
-    # back-substitution, last pivot first: pivot column -> reduced row
-    reduced: dict[int, list[Fraction]] = {}
-    for col in sorted(pivot_rows, reverse=True):
-        lead = pivot_rows[col][col]
-        if lead == 0:
-            raise InternalInconsistency(
-                f"pivot row for column {col} has a zero leading entry"
-            )
-        vec = [Fraction(x, lead) for x in pivot_rows[col]]
-        for later, other in reduced.items():
-            factor = vec[later]
-            if factor:
-                vec = [a - factor * b for a, b in zip(vec, other)]
-        reduced[col] = vec
+    last_first = sorted(pivot_rows.items(), reverse=True)
     basis = []
     for free in range(dim):
-        if free in reduced:
+        if free in pivot_rows:
             continue
-        vec = [Fraction(0)] * dim
-        vec[free] = Fraction(1)
-        for col, row in reduced.items():
-            vec[col] = -row[free]
-        ints = _coprime_integers(vec)
-        if next(x for x in ints if x) < 0:
-            ints = tuple(-x for x in ints)
-        basis.append(ints)
+        vec = [0] * dim
+        vec[free] = 1
+        for col, row in last_first:
+            lead = row[col]
+            if lead == 0:
+                raise InternalInconsistency(
+                    f"pivot row for column {col} has a zero leading entry"
+                )
+            # vec[col] is still 0, and row is 0 left of col
+            rest = sum(map(mul, row, vec))
+            if rest:
+                g = gcd(rest, lead)
+                vec = [x * (lead // g) for x in vec]
+                vec[col] = -(rest // g)
+        first = next(x for x in vec if x)
+        g = gcd(*vec) if first > 0 else -gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return tuple(basis)
 
 
@@ -105,10 +100,6 @@ class HodgeGrading:
     # all positive roots of nonzero grade (the tangent directions of D)
     tangent_roots: tuple[Root, ...]
     compact_center_basis: CenterBasis
-
-    def grade_of(self, alpha: Sequence[int]) -> int:
-        """Value of the grading element on a coefficient vector (linear)."""
-        return sum(c * n for c, n in zip(self.labels, alpha))
 
     @property
     def dim_D(self) -> int:
@@ -166,16 +157,15 @@ def make_grading(rs: RootSystem, labels: Sequence[int]) -> HodgeGrading:
     if 1 not in labels:
         raise CompactForm("no label equals 1: every root is compact")
 
-    def grade(alpha: Root) -> int:
-        return sum(c * n for c, n in zip(labels, alpha))
-
-    isotropy = frozenset(a for a in rs.roots if grade(a) == 0)
-    compact = frozenset(a for a in rs.roots if grade(a) % 2 == 0)
-    noncompact = frozenset(rs.roots - compact)
-    compact_positive = tuple(a for a in rs.positive_roots if a in compact)
-    noncompact_positive = tuple(a for a in rs.positive_roots if a in noncompact)
-    fiber = tuple(a for a in compact_positive if a not in isotropy)
-    tangent = tuple(a for a in rs.positive_roots if a not in isotropy)
+    # the grading element's value on every root, both signs
+    grade = {a: sum(map(mul, labels, a)) for a in rs.roots}
+    isotropy = frozenset(a for a, d in grade.items() if d == 0)
+    compact = frozenset(a for a, d in grade.items() if d % 2 == 0)
+    noncompact = rs.roots - compact
+    compact_positive = tuple(a for a in rs.positive_roots if grade[a] % 2 == 0)
+    noncompact_positive = tuple(a for a in rs.positive_roots if grade[a] % 2)
+    fiber = tuple(a for a in compact_positive if grade[a])
+    tangent = tuple(a for a in rs.positive_roots if grade[a])
     # some simple root has label 1, so its parity is odd
     if not noncompact_positive:
         raise InternalInconsistency(f"label 1 present but no noncompact root: {labels}")

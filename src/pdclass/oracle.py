@@ -147,18 +147,25 @@ def lattice_cone_search(system: ConeSystem, radius: int) -> tuple[int, ...] | No
     return scan(0, zero)
 
 
+def sweep_families(types: Iterable[str], max_rank: int) -> list[str]:
+    """The sorted family letters of a sweep with a rank up to ``max_rank``,
+    read from ``FAMILY_RANKS``.  Letters may come in either case and with
+    surrounding blanks; empty entries are dropped and an unknown letter
+    raises ``InvalidTypeRank``."""
+    families = sorted({t.strip().upper() for t in types} - {""})
+    for type_label in families:
+        if type_label not in FAMILY_RANKS:
+            raise InvalidTypeRank(f"unknown family {type_label!r}")
+    return [t for t in families if FAMILY_RANKS[t][0] <= max_rank]
+
+
 def sweep_instances(
     types: Iterable[str], max_rank: int
 ) -> list[tuple[str, int, tuple[int, ...]]]:
-    """All (type, rank, labels) triples of the sweep, lexicographically.
-
-    Family letters may come in either case and with surrounding blanks; empty
-    entries are dropped and an unknown letter raises ``InvalidTypeRank``.
-    """
+    """All (type, rank, labels) triples of the sweep over
+    ``sweep_families(types, max_rank)``, lexicographically."""
     instances = []
-    for type_label in sorted({t.strip().upper() for t in types} - {""}):
-        if type_label not in FAMILY_RANKS:
-            raise InvalidTypeRank(f"unknown family {type_label!r}")
+    for type_label in sweep_families(types, max_rank):
         low, high = FAMILY_RANKS[type_label]
         for rank in range(low, min(high, max_rank) + 1):
             for labels in product((0, 1, 2), repeat=rank):
@@ -259,6 +266,19 @@ def _survey_class(
     return [(verdict, None)] + [attempt(_check_member, m, split, verdict) for m in others]
 
 
+def check_sweep(types: Sequence[str], max_rank: int, radius: int, jobs: int) -> None:
+    """Raise ``ValueError`` on an empty family list, a max rank, radius or
+    job count below 1, or a max rank below every listed family's lowest
+    rank, since an empty sweep checks nothing.  Builds nothing."""
+    if not any(t.strip() for t in types):
+        raise ValueError("the family list is empty")
+    for name, value in (("max rank", max_rank), ("radius", radius), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not sweep_families(types, max_rank):
+        raise ValueError(f"no listed family has a rank <= {max_rank}")
+
+
 def survey_crosscheck(
     types: Sequence[str],
     max_rank: int,
@@ -274,15 +294,10 @@ def survey_crosscheck(
     its row takes the verdict and Hermitian type from the class (see
     ``_check_member``).  The class table lives for one call.  ``jobs`` only
     spreads the class tasks over threads; rows merge back into sweep order,
-    so the result is the same for any job count.  An empty family list, or
-    a max rank, radius or job count below 1, raises ``ValueError`` before
-    any grading is built: an empty sweep checks nothing.
+    so the result is the same for any job count.  ``check_sweep`` runs
+    before any grading is built.
     """
-    if not any(t.strip() for t in types):
-        raise ValueError("the family list is empty")
-    for name, value in (("max rank", max_rank), ("radius", radius), ("jobs", jobs)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_sweep(types, max_rank, radius, jobs)
     instances = sweep_instances(types, max_rank)
     # parity class -> indices of its gradings; a root is compact exactly when
     # its grade is even, and only labels equal to 1 add odd amounts to a grade

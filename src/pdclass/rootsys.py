@@ -255,10 +255,6 @@ class RootSystem:
             tuple_rank=tuple(map(ranked.__getitem__, roots)),
         )
 
-    def coroot_pairing(self, beta: Root, i: int) -> int:
-        """Exact integer ``<beta, alpha_i^vee>`` (0-indexed simple root)."""
-        return _coroot_pairing(self.cartan, beta, i)
-
     def bilinear_row(self, alpha: Root) -> tuple[int, ...]:
         """The integer vector B @ alpha, cached for every root."""
         row = self.bilinear_by_root.get(alpha)

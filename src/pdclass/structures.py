@@ -56,9 +56,6 @@ class ComplexStructure:
     def parabolic_roots(self) -> frozenset[Root]:
         return frozenset(map(root_neg, self.roots)) | self.isotropy_roots
 
-    def sorted_roots(self) -> tuple[Root, ...]:
-        return tuple(sorted(self.roots, key=root_key))
-
 
 @dataclass(frozen=True, eq=False)
 class NewStructure:

@@ -229,6 +229,11 @@ def reference_decide_cone(normals):
     return True, None, tuple(combinations)
 
 
+def reference_grade(g, alpha):
+    """Value of the grading element of ``g`` on a coefficient vector."""
+    return sum(c * n for c, n in zip(g.labels, alpha))
+
+
 def reference_nullspace(rows, dim):
     """The Fraction Gauss-Jordan nullspace the package used before its
     integer elimination, kept verbatim as a test-only reference (with this

@@ -444,6 +444,8 @@ class TestRadiusBound:
             (["--max-rank", "-3"], "max rank must be >= 1, got -3"),
             (["--types", ","], "the family list is empty"),
             (["--types", " , "], "the family list is empty"),
+            (["--types", "E", "--max-rank", "3"], "no listed family has a rank <= 3"),
+            (["--types", "D", "--max-rank", "3"], "no listed family has a rank <= 3"),
         ],
     )
     def test_empty_sweep_rejected_before_the_sweep(
@@ -688,6 +690,7 @@ class TestScripts:
         [
             (["--max-rank", "0"], "max rank must be >= 1, got 0"),
             (["--types", ","], "the family list is empty"),
+            (["--types", "E", "--max-rank", "3"], "no listed family has a rank <= 3"),
         ],
     )
     def test_run_survey_rejects_an_empty_sweep(self, argv, message):

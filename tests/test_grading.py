@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     EXCEPTIONAL_SAMPLE,
     SWEEP_SYSTEMS,
+    reference_grade,
     reference_nullspace,
     sweep_label_vectors,
 )
@@ -26,7 +27,8 @@ def grading(type_label, rank, labels):
 class TestC2Fixtures:
     def test_labels_1_1(self):
         g = grading("C", 2, (1, 1))
-        assert [g.grade_of(a) for a in g.root_system.positive_roots] == [1, 1, 2, 3]
+        grades = [reference_grade(g, a) for a in g.root_system.positive_roots]
+        assert grades == [1, 1, 2, 3]
         assert g.isotropy_roots == frozenset()
         assert g.compact_positive == ((1, 1),)
         assert g.noncompact_positive == ((1, 0), (0, 1), (2, 1))
@@ -38,7 +40,8 @@ class TestC2Fixtures:
 
     def test_labels_0_1(self):
         g = grading("C", 2, (0, 1))
-        assert [g.grade_of(a) for a in g.root_system.positive_roots] == [0, 1, 1, 1]
+        grades = [reference_grade(g, a) for a in g.root_system.positive_roots]
+        assert grades == [0, 1, 1, 1]
         assert g.isotropy_roots == frozenset({(1, 0), (-1, 0)})
         assert g.compact_positive == ((1, 0),)
         assert g.noncompact_positive == ((0, 1), (1, 1), (2, 1))
@@ -50,7 +53,8 @@ class TestC2Fixtures:
 
     def test_labels_2_1(self):
         g = grading("C", 2, (2, 1))
-        assert [g.grade_of(a) for a in g.root_system.positive_roots] == [2, 1, 3, 5]
+        grades = [reference_grade(g, a) for a in g.root_system.positive_roots]
+        assert grades == [2, 1, 3, 5]
         assert g.isotropy_roots == frozenset()
         assert g.compact_positive == ((1, 0),)
         assert g.noncompact_positive == ((0, 1), (1, 1), (2, 1))
@@ -140,16 +144,47 @@ class TestDerivedSetConsistency:
             assert g.isotropy_roots <= g.compact_roots
             assert g.dim_D - g.dim_KV == g.m0
 
+    @staticmethod
+    def assert_sets_match_reference_grade(g):
+        # isotropy is grade 0, compact is even grade, and the positive sets
+        # keep the order of positive_roots
+        rs = g.root_system
+        grade = {a: reference_grade(g, a) for a in rs.roots}
+        even = [a for a in rs.positive_roots if grade[a] % 2 == 0]
+        assert g.isotropy_roots == {a for a in rs.roots if grade[a] == 0}
+        assert g.compact_roots == {a for a in rs.roots if grade[a] % 2 == 0}
+        assert g.noncompact_roots == rs.roots - g.compact_roots
+        assert g.compact_positive == tuple(even)
+        assert g.noncompact_positive == tuple(
+            a for a in rs.positive_roots if grade[a] % 2
+        )
+        assert g.fiber_roots == tuple(a for a in even if grade[a])
+        assert g.tangent_roots == tuple(a for a in rs.positive_roots if grade[a])
+
+    def test_sets_match_reference_grade_on_sweep(self):
+        for g in all_sweep_gradings():
+            self.assert_sets_match_reference_grade(g)
+
+    @pytest.mark.parametrize("type_label,rank,labels", EXCEPTIONAL_SAMPLE)
+    def test_sets_match_reference_grade_on_exceptional_sample(
+        self, type_label, rank, labels
+    ):
+        self.assert_sets_match_reference_grade(grading(type_label, rank, labels))
+
     def test_grade_additivity_everywhere(self):
         for g in all_sweep_gradings():
             rs = g.root_system
+            grade = {a: reference_grade(g, a) for a in rs.roots}
             for a in rs.roots:
                 for b in rs.roots:
                     s = tuple(x + y for x, y in zip(a, b))
                     if s in rs.roots:
-                        assert g.grade_of(s) == g.grade_of(a) + g.grade_of(b)
+                        assert grade[s] == grade[a] + grade[b]
+                        # so parity, hence compactness, adds too
+                        same = (a in g.compact_roots) == (b in g.compact_roots)
+                        assert (s in g.compact_roots) == same
             # spot phrasing of the same fact on the label vector itself
-            assert all(g.grade_of(s) == c for s, c in zip(rs.simple_roots, g.labels))
+            assert all(grade[s] == c for s, c in zip(rs.simple_roots, g.labels))
 
 
 class TestCompactCenter:
@@ -256,7 +291,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_parity_matches_compactness(self, g):
         for a in g.root_system.roots:
-            assert (a in g.compact_roots) == (g.grade_of(a) % 2 == 0)
+            assert (a in g.compact_roots) == (reference_grade(g, a) % 2 == 0)
 
     @given(sweep_grading(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -265,4 +300,4 @@ class TestProperties:
         for b in g.noncompact_positive:
             total = [t + x for t, x in zip(total, b)]
         assert g.two_rho_nc == tuple(total)
-        assert g.grade_of(g.two_rho_nc) % 2 == g.m0 % 2
+        assert reference_grade(g, g.two_rho_nc) % 2 == g.m0 % 2

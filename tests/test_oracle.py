@@ -266,6 +266,8 @@ class TestSurvey:
             (["A", "C"], -3, "max rank must be >= 1, got -3"),
             ([], 2, "the family list is empty"),
             (["", " "], 2, "the family list is empty"),
+            (["E"], 3, "no listed family has a rank <= 3"),
+            (["D", "F"], 3, "no listed family has a rank <= 3"),
         ],
     )
     def test_empty_sweep_raises_before_the_sweep(
@@ -278,6 +280,12 @@ class TestSurvey:
         monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
         with pytest.raises(ValueError, match=message):
             survey_crosscheck(types, max_rank)
+
+    def test_mixed_list_sweeps_the_families_that_reach_max_rank(self):
+        result = survey_crosscheck(["A", "E"], 2)
+        assert result.failures == ()
+        systems = {(row.type_label, row.rank) for row in result.rows}
+        assert systems == {("A", 1), ("A", 2)}
 
     def test_one_cone_system_per_grading(self, monkeypatch):
         # the lattice oracle reads the system the cone route decided on, and

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdclass.errors import InvalidTypeRank
 from pdclass.rootsys import (
+    _coroot_pairing,
     build_root_system,
     cartan_matrix,
     expected_root_count,
@@ -197,7 +198,7 @@ def test_string_length_matches_coroot_pairing():
                 simple_i = tuple(1 if j == i else 0 for j in range(rs.rank))
                 if alpha == simple_i or alpha == tuple(-x for x in simple_i):
                     continue
-                assert down_roots - up_roots == rs.coroot_pairing(alpha, i)
+                assert down_roots - up_roots == _coroot_pairing(rs.cartan, alpha, i)
 
 
 def test_sum_or_difference_for_nonorthogonal_pairs():
