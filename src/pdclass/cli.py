@@ -491,8 +491,11 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}")
 
 
 def _json_text(payload: dict) -> str:

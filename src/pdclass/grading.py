@@ -99,6 +99,8 @@ class HodgeGrading:
     fiber_roots: tuple[Root, ...]
     # all positive roots of nonzero grade (the tangent directions of D)
     tangent_roots: tuple[Root, ...]
+    # integer basis of {z : alpha(z) = 0 for every compact root alpha}, in
+    # dual-basis coordinates; one vector signals Hermitian type
     compact_center_basis: CenterBasis
 
     @property
@@ -121,11 +123,6 @@ class HodgeGrading:
     def two_rho_nc(self) -> tuple[int, ...]:
         """Coefficient vector of the sum of all positive noncompact roots."""
         return reduce(root_add, self.noncompact_positive, (0,) * self.root_system.rank)
-
-    def compact_center(self) -> tuple[int, CenterBasis]:
-        """Dimension and basis of {z : alpha(z) = 0 for every compact root},
-        in dual-basis coordinates.  Dimension 1 signals Hermitian type."""
-        return len(self.compact_center_basis), self.compact_center_basis
 
 
 def domain_text(type_label: str, rank: int, labels: Sequence[int]) -> str:

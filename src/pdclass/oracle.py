@@ -32,7 +32,7 @@ from . import classifier
 from .classifier import classify, grading_cone_system
 from .cone import ConeSystem
 from .errors import InternalInconsistency, InvalidTypeRank
-from .grading import domain_text, make_grading
+from .grading import HodgeGrading, domain_text, make_grading
 from .rootsys import FAMILY_RANKS, Root, build_root_system
 # validate_structure stays bound here for the span tracer in perfbench/tracing.py
 from .structures import new_complex_structure, positive_system_of, validate_structure
@@ -185,16 +185,12 @@ def _structures_checks(g) -> None:
     positive_system_of(g, ns.structure)
 
 
-def check_instance(
-    type_label: str, rank: int, labels: tuple[int, ...], radius: int = DEFAULT_RADIUS
-) -> SurveyRow:
+def check_instance(g: HodgeGrading, radius: int = DEFAULT_RADIUS) -> SurveyRow:
     """Classify one grading and cross-check every route against the others:
     ``classify``, the lattice scan on the cone system the cone route decided
     on, and the structures checks when non-classical and Hermitian.  The
     survey runs it on the first grading of each parity class, and on every
     grading of a class whose first grading failed."""
-    rs = build_root_system(type_label, rank)
-    g = make_grading(rs, labels)
     report = classify(g)
     point = lattice_cone_search(report.cone_system, radius)
     if point is not None and not report.classical:
@@ -214,9 +210,7 @@ def check_instance(
 
 
 def _check_member(
-    type_label: str,
-    rank: int,
-    labels: tuple[int, ...],
+    g: HodgeGrading,
     split: tuple[tuple[Root, ...], tuple[Root, ...]],
     verdict: SurveyRow,
 ) -> SurveyRow:
@@ -224,7 +218,6 @@ def _check_member(
     ``check_instance``: its compact and noncompact positives must equal the
     class's ``split`` as exact tuples, and its own definitional and bracket
     routes must reach the class verdict."""
-    g = make_grading(build_root_system(type_label, rank), labels)
     if (g.compact_positive, g.noncompact_positive) != split:
         raise InternalInconsistency("root split differs from its parity class")
     classical, _ = classifier.is_classical_definitional(g)
@@ -244,26 +237,30 @@ def _survey_class(
 ) -> list[tuple[SurveyRow | None, tuple[str, str] | None]]:
     """(row, failure) per member of one parity class, in the members' order.
 
-    The first member runs ``check_instance``.  If it fails, every other
-    member runs ``check_instance`` on its own, so one fault neither spreads
-    a verdict nor hides a failure.
+    Each member's grading is built once, inside its own check.  The first
+    member runs ``check_instance``.  If it fails, every other member runs
+    ``check_instance`` on its own, so one fault neither spreads a verdict
+    nor hides a failure.
     """
 
-    def attempt(check, instance, *args):
+    def attempt(instance, check, *args):
+        type_label, rank, labels = instance
         try:
-            return check(*instance, *args), None
+            g = make_grading(build_root_system(type_label, rank), labels)
+            return check(g, *args), None
         except Exception as exc:  # noqa: BLE001 - failures are data here
             return None, (domain_text(*instance), f"{type(exc).__name__}: {exc}")
 
-    first, others = members[0], members[1:]
-    verdict, failure = attempt(check_instance, first, radius)
-    if verdict is None:
-        return [(None, failure)] + [attempt(check_instance, m, radius) for m in others]
-    if not others:
-        return [(verdict, None)]
-    g = make_grading(build_root_system(first[0], first[1]), first[2])
-    split = (g.compact_positive, g.noncompact_positive)
-    return [(verdict, None)] + [attempt(_check_member, m, split, verdict) for m in others]
+    def represent(g):
+        # check_instance is looked up here at call time: the span tracer wraps it
+        return check_instance(g, radius), (g.compact_positive, g.noncompact_positive)
+
+    first, failure = attempt(members[0], represent)
+    if first is None:
+        return [(None, failure)] + [attempt(m, check_instance, radius) for m in members[1:]]
+    verdict, split = first
+    others = [attempt(m, _check_member, split, verdict) for m in members[1:]]
+    return [(verdict, None)] + others
 
 
 def check_sweep(types: Sequence[str], max_rank: int, radius: int, jobs: int) -> None:

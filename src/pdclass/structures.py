@@ -156,7 +156,8 @@ def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
     The values are compared as integers against the common magnitude m,
     and only z itself is divided by m.
     """
-    dim, basis = g.compact_center()
+    basis = g.compact_center_basis
+    dim = len(basis)
     if dim == 0:
         return None
     if dim >= 2 and g.compact_positive:

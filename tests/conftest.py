@@ -340,7 +340,8 @@ def reference_hermitian_splitting(g):
     """The package's ``hermitian_splitting`` before it checked the center
     direction on every root, kept verbatim: it sums the compact roots with
     the minus half, and the minus half with itself, into new tuples."""
-    dim, basis = g.compact_center()
+    basis = g.compact_center_basis
+    dim = len(basis)
     if dim == 0:
         return None
     if dim >= 2 and g.compact_positive:

@@ -162,6 +162,14 @@ class TestClassifyCommand:
         assert code == 1
         assert "COMPACT_FORM" in err
 
+    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    def test_unwritable_out_exits_one(self, capsys, tmp_path, target):
+        out_path = tmp_path if target == "directory" else tmp_path / "absent" / "x"
+        code, out, err = run_cli(capsys, "classify", "C2/1,1", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[USAGE]: cannot write {out_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_root_count_mismatch_exits_two(self, capsys, monkeypatch):
         # build_root_system is cached: clear it so A2 is built afresh with the
         # wrong count, and again so later tests do not see a stale system

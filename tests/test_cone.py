@@ -422,9 +422,11 @@ class TestReferenceSimplexAgreement:
 
 
 _OPTIMIZED_SCRIPT = """
+from dataclasses import replace
+
 import pdclass.classifier
 import pdclass.cone
-import pdclass.grading
+import pdclass.oracle
 import pdclass.structures
 from pdclass.classifier import curvature_signature, grading_cone_system
 from pdclass.cli import main, parse_domain
@@ -439,6 +441,24 @@ for argv in (
 ):
     if main(argv) != 0:
         raise SystemExit(f"{argv[0]} failed")
+# a member whose root split differs from its parity class fails alone
+make_grading = pdclass.oracle.make_grading
+
+
+def forged_split(rs, labels):
+    g = make_grading(rs, labels)
+    if tuple(labels) == (2, 1):
+        return replace(g, compact_positive=g.compact_positive[1:])
+    return g
+
+
+pdclass.oracle.make_grading = forged_split
+failures = pdclass.oracle.survey_crosscheck(["C"], 2).failures
+if [domain for domain, _ in failures] != ["C2/2,1"]:
+    raise SystemExit(f"a forged root split failed {failures}")
+if not failures[0][1].startswith("InternalInconsistency: root split"):
+    raise SystemExit(f"a forged root split gave {failures[0][1]}")
+pdclass.oracle.make_grading = make_grading
 c2 = parse_domain("C2/1,1")
 pdclass.classifier.sign_violations = lambda g, weight: -1
 try:
@@ -462,14 +482,12 @@ except ValidationFailed as exc:
     if "disagree" not in str(exc):
         raise SystemExit(f"the checkers' disagreement went unreported: {exc}")
 # +-1 on every noncompact root of A2/1,1 but 2 on its compact root (1,1)
-compact_center = pdclass.grading.HodgeGrading.compact_center
-pdclass.grading.HodgeGrading.compact_center = lambda self: (1, ((1, 1),))
+forged = replace(parse_domain("A2/1,1"), compact_center_basis=((1, 1),))
 try:
-    pdclass.structures.hermitian_splitting(parse_domain("A2/1,1"))
+    pdclass.structures.hermitian_splitting(forged)
     raise SystemExit("a center direction off a compact root left hermitian_splitting")
 except HermitianAnomaly:
     pass
-pdclass.grading.HodgeGrading.compact_center = compact_center
 pdclass.cone.verify_certificate = lambda sys, cert: False
 try:
     pdclass.cone.decide_cone(grading_cone_system(parse_domain("E6/0,1,0,0,0,0")))

@@ -36,7 +36,7 @@ class TestC2Fixtures:
         assert g.tangent_roots == ((1, 0), (0, 1), (1, 1), (2, 1))
         assert (g.dim_D, g.dim_KV, g.m0) == (4, 1, 3)
         assert g.two_rho_nc == (3, 2)
-        assert g.compact_center() == (1, ((1, -1),))
+        assert g.compact_center_basis == ((1, -1),)
 
     def test_labels_0_1(self):
         g = grading("C", 2, (0, 1))
@@ -49,7 +49,7 @@ class TestC2Fixtures:
         assert g.tangent_roots == ((0, 1), (1, 1), (2, 1))
         assert (g.dim_D, g.dim_KV, g.m0) == (3, 0, 3)
         assert g.two_rho_nc == (3, 3)
-        assert g.compact_center() == (1, ((0, 1),))
+        assert g.compact_center_basis == ((0, 1),)
 
     def test_labels_2_1(self):
         g = grading("C", 2, (2, 1))
@@ -60,7 +60,7 @@ class TestC2Fixtures:
         assert g.noncompact_positive == ((0, 1), (1, 1), (2, 1))
         assert g.fiber_roots == ((1, 0),)
         assert (g.dim_D, g.dim_KV, g.m0) == (4, 1, 3)
-        assert g.compact_center() == (1, ((0, 1),))
+        assert g.compact_center_basis == ((0, 1),)
 
 
 class TestOtherFixtures:
@@ -70,7 +70,7 @@ class TestOtherFixtures:
         assert g.compact_positive == ()
         assert g.noncompact_positive == ((1,),)
         assert (g.dim_D, g.dim_KV, g.m0) == (1, 0, 1)
-        assert g.compact_center() == (1, ((1,),))
+        assert g.compact_center_basis == ((1,),)
 
     def test_g2_1_0(self):
         g = grading("G", 2, (1, 0))
@@ -80,20 +80,20 @@ class TestOtherFixtures:
         assert g.fiber_roots == ((2, 1),)
         assert (g.dim_D, g.dim_KV, g.m0) == (5, 1, 4)
         # compact roots span the plane: no center, so no Hermitian structure
-        assert g.compact_center() == (0, ())
+        assert g.compact_center_basis == ()
 
     def test_g2_0_1(self):
         g = grading("G", 2, (0, 1))
         assert g.compact_positive == ((1, 0), (3, 2))
         assert g.noncompact_positive == ((0, 1), (1, 1), (2, 1), (3, 1))
-        assert g.compact_center() == (0, ())
+        assert g.compact_center_basis == ()
 
     def test_a3_1_0_1(self):
         g = grading("A", 3, (1, 0, 1))
         assert g.isotropy_roots == frozenset({(0, 1, 0), (0, -1, 0)})
         assert g.compact_positive == ((0, 1, 0), (1, 1, 1))
         assert g.noncompact_positive == ((1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1))
-        assert g.compact_center() == (1, ((1, 0, -1),))
+        assert g.compact_center_basis == ((1, 0, -1),)
 
 
 class TestValidation:
@@ -193,7 +193,8 @@ class TestCompactCenter:
         rs = build_root_system(type_label, rank)
         for labels in sweep_label_vectors(rank):
             g = make_grading(rs, labels)
-            dim, basis = g.compact_center()
+            basis = g.compact_center_basis
+            dim = len(basis)
             rows = sorted(g.compact_positive)
             if rows:
                 matrix = sympy.Matrix(rows)
@@ -215,7 +216,7 @@ class TestCompactCenter:
         # center of dimension 0 or 1 (dimension 1 = Hermitian type), except
         # the degenerate rank-one case where there are no compact roots
         for g in all_sweep_gradings():
-            dim, _ = g.compact_center()
+            dim = len(g.compact_center_basis)
             if g.compact_positive:
                 assert dim in (0, 1)
             else:

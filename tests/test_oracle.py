@@ -36,6 +36,10 @@ def assert_scan_matches_brute_force(system, radius):
     assert found == (hits[0] if hits else None), (system.normals, radius)
 
 
+def grading_of(type_label, rank, labels):
+    return make_grading(build_root_system(type_label, rank), labels)
+
+
 def row_fields(row):
     return (
         row.type_label, row.rank, row.labels, row.classical, row.hermitian, row.m0, row.dim_D
@@ -166,16 +170,16 @@ class TestSweepInstances:
 
 class TestCheckInstance:
     def test_row_fields(self):
-        row = check_instance("C", 2, (1, 1))
+        row = check_instance(grading_of("C", 2, (1, 1)))
         assert (row.classical, row.hermitian) == (False, True)
         assert (row.m0, row.dim_D) == (3, 4)
 
     def test_nonhermitian_instance(self):
-        row = check_instance("G", 2, (1, 0))
+        row = check_instance(grading_of("G", 2, (1, 0)))
         assert (row.classical, row.hermitian) == (False, False)
 
     def test_classical_instance(self):
-        row = check_instance("A", 1, (1,))
+        row = check_instance(grading_of("A", 1, (1,)))
         assert (row.classical, row.hermitian) == (True, True)
 
     def test_e6_classical_and_first_nonclassical_gradings(self):
@@ -190,9 +194,9 @@ class TestCheckInstance:
         nonclassical = [labels for labels in instances if labels not in classical]
         assert (len(classical), len(nonclassical)) == (64, 601)
         for labels in classical:
-            assert check_instance("E", 6, labels).classical
+            assert check_instance(make_grading(rs, labels)).classical
         for labels in nonclassical[:40]:
-            assert not check_instance("E", 6, labels).classical
+            assert not check_instance(make_grading(rs, labels)).classical
 
 
 class TestSurvey:
@@ -334,8 +338,9 @@ class TestParityClasses:
         assert len(result.rows) == 403
         assert len(calls["decide"]) == len(calls["lattice"]) == 109
         assert len(calls["definitional"]) == len(calls["bracket"]) == 403
-        # each grading once, plus the first grading of a class with others
-        assert 403 <= len(calls["grading"]) <= 403 + 109
+        # each grading built exactly once
+        built = {(rs.type_label, rs.rank, tuple(labels)) for rs, labels in calls["grading"]}
+        assert len(calls["grading"]) == len(built) == 403
         graded = {(g.root_system.type_label, g.labels) for (g,) in calls["definitional"]}
         assert len(graded) == 403
         # the structures checks on every non-classical Hermitian grading
@@ -347,7 +352,7 @@ class TestParityClasses:
         result = survey_crosscheck(SWEEP_FAMILIES, SWEEP_MAX_RANK)
         instances = sweep_instances(SWEEP_FAMILIES, SWEEP_MAX_RANK)
         assert [row_fields(row) for row in result.rows] == [
-            row_fields(check_instance(*instance)) for instance in instances
+            row_fields(check_instance(grading_of(*instance))) for instance in instances
         ]
 
     def test_member_with_a_different_split_fails_alone(self, monkeypatch):
@@ -366,6 +371,22 @@ class TestParityClasses:
         assert result.failures[0][1].startswith("InternalInconsistency: root split")
         assert [row.labels for row in result.rows] == [(0, 1), (1, 0), (1, 1), (1, 2)]
 
+    @pytest.mark.parametrize("labels", [(0, 1), (2, 1)], ids=["first", "member"])
+    def test_grading_build_that_raises_fails_alone(self, monkeypatch, labels):
+        # C2/0,1 and C2/2,1 form one class; each grading is built inside its own check
+        original = pdclass.oracle.make_grading
+
+        def raising(rs, built):
+            if tuple(built) == labels:
+                raise RuntimeError("forged build")
+            return original(rs, built)
+
+        monkeypatch.setattr(pdclass.oracle, "make_grading", raising)
+        result = survey_crosscheck(["C"], 2)
+        domain = "C2/" + ",".join(map(str, labels))
+        assert result.failures == ((domain, "RuntimeError: forged build"),)
+        assert len(result.rows) == 4
+
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_failed_representative_leaves_its_class_checked_one_by_one(
         self, monkeypatch, jobs
@@ -374,11 +395,11 @@ class TestParityClasses:
         checked = []
         original = pdclass.oracle.check_instance
 
-        def failing(type_label, rank, labels, radius):
-            checked.append(labels)
-            if labels == (0, 1, 0):
+        def failing(g, radius):
+            checked.append(g.labels)
+            if g.labels == (0, 1, 0):
                 raise RuntimeError("forged fault")
-            return original(type_label, rank, labels, radius)
+            return original(g, radius)
 
         monkeypatch.setattr(pdclass.oracle, "check_instance", failing)
         result = survey_crosscheck(["A"], 3, jobs=jobs)
@@ -386,7 +407,7 @@ class TestParityClasses:
         members = [(0, 1, 2), (2, 1, 0), (2, 1, 2)]
         assert all(labels in checked for labels in members)
         reference = {
-            labels: row_fields(original("A", 3, labels, 3)) for labels in members
+            labels: row_fields(original(grading_of("A", 3, labels), 3)) for labels in members
         }
         rows = {row.labels: row_fields(row) for row in result.rows if row.rank == 3}
         assert {labels: rows[labels] for labels in members} == reference
