@@ -6,14 +6,16 @@ classical fraction by family and rank.  A nonzero exit code means at least
 one instance failed its cross-checks; the failing domains are listed.
 
     python3 scripts/run_survey.py
-    python3 scripts/run_survey.py --types B,C --max-rank 4 --jobs 4 --csv out.csv
+    python3 scripts/run_survey.py --types B,C --max-rank 4 --jobs 4
+
+The per-grading table is ``pdclass survey --format csv --out FILE``.
 """
 
 import argparse
 import sys
 import time
 
-from pdclass.cli import DEFAULT_TYPES, render_survey_csv
+from pdclass.cli import DEFAULT_TYPES
 from pdclass.errors import UsageError
 from pdclass.oracle import DEFAULT_RADIUS, survey_crosscheck
 
@@ -24,7 +26,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-rank", type=int, default=4)
     parser.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--csv", dest="csv_path", default=None)
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
@@ -47,11 +48,6 @@ def main(argv=None) -> int:
     classical = sum(a.n_classical for a in result.aggregates)
     print(f"overall {classical}/{total} classical "
           f"({classical / total:.3f})" if total else "overall empty sweep")
-
-    if args.csv_path:
-        with open(args.csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_survey_csv(result))
-        print(f"wrote {args.csv_path}")
 
     if result.failures:
         print(f"{len(result.failures)} failures:", file=sys.stderr)

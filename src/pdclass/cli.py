@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -21,13 +22,12 @@ from .classifier import (
     DomainReport,
     classify,
     curvature_signature,
-    is_classical_definitional,
     predicts_vanishing,
     sign_violations,
     verify_compact_from_noncompact,
     verify_simple_noncompact_decomposition,
 )
-from .errors import PdclassError, TheoremViolation, UsageError
+from .errors import PdclassError, PreconditionClassical, TheoremViolation, UsageError
 from .grading import HodgeGrading, check_label_count, domain_text, make_grading
 from .oracle import (
     DEFAULT_RADIUS,
@@ -352,19 +352,9 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
     """Run the named property suites over the bounded sweep; any failed check
     flips the exit code to the theorem-violation class."""
     instances = sweep_instances(types, max_rank)
-    lines = []
-    failures = 0
-
-    def record(name, failed, shown, total, unit):
-        # ``shown`` lists failing items in order; the first 10 are printed
-        nonlocal failures
-        if failed:
-            failures += failed
-            lines.append(f"CHECK {name}: FAIL ({failed} of {total} {unit})")
-            lines.extend(f"  {item}" for item in shown[:10])
-        else:
-            lines.append(f"CHECK {name}: ok ({total} {unit})")
-
+    # one record per check: name, failure count, the first 10 failing items,
+    # total and unit
+    records = []
     if suite in ("lemmas", "all"):
         systems = sorted({(t, r) for t, r, _ in instances})
         bad = []
@@ -374,32 +364,45 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
             )
             if not holds:
                 bad.append(f"{type_label}{rank}: {violations[0]}")
-        record("triple_sum_reduction", len(bad), bad, len(systems), "systems")
+        records.append(
+            ("triple_sum_reduction", len(bad), bad[:10], len(systems), "systems")
+        )
 
-        # one grading at a time: only the counts and the first 10 failing
-        # domains of each check are kept
-        compact, decomposition = [0, []], [0, []]
-        applicable = 0
+        # one grading at a time: only the failing domains are kept
+        compact, decomposition, applicable = [], [], 0
         for t, r, labels in instances:
             g = make_grading(build_root_system(t, r), labels)
-            checks = [(compact, verify_compact_from_noncompact)]
-            # the decomposition statement applies to non-classical gradings only
-            if not is_classical_definitional(g)[0]:
-                applicable += 1
-                checks.append((decomposition, verify_simple_noncompact_decomposition))
-            for tally, check in checks:
-                if not check(g):
-                    tally[0] += 1
-                    if len(tally[1]) < 10:
-                        tally[1].append(domain_text(t, r, labels))
-        record("compact_from_noncompact", *compact, len(instances), "gradings")
-        record("simple_noncompact_decomposition", *decomposition, applicable, "gradings")
+            if not verify_compact_from_noncompact(g):
+                compact.append(domain_text(t, r, labels))
+            try:
+                holds = verify_simple_noncompact_decomposition(g)
+            except PreconditionClassical:
+                continue
+            applicable += 1
+            if not holds:
+                decomposition.append(domain_text(t, r, labels))
+        records += [
+            ("compact_from_noncompact", len(compact), compact[:10], len(instances),
+             "gradings"),
+            ("simple_noncompact_decomposition", len(decomposition),
+             decomposition[:10], applicable, "gradings"),
+        ]
 
     if suite in ("equivalence", "all"):
         result = survey_crosscheck(types, max_rank, radius)
         bad = [": ".join(failure) for failure in result.failures]
-        record("route_agreement", len(bad), bad, len(instances), "gradings")
+        records.append(
+            ("route_agreement", len(bad), bad[:10], len(instances), "gradings")
+        )
 
+    lines = []
+    for name, failed, shown, total, unit in records:
+        if failed:
+            lines.append(f"CHECK {name}: FAIL ({failed} of {total} {unit})")
+            lines.extend(f"  {item}" for item in shown)
+        else:
+            lines.append(f"CHECK {name}: ok ({total} {unit})")
+    failures = sum(record[1] for record in records)
     lines.append(f"failures {failures}")
     return "\n".join(lines) + "\n", (2 if failures else 0)
 
@@ -527,6 +530,13 @@ def run(argv=None) -> int:
     renderers = FORMATS[args.subcommand]
     if fmt not in renderers:
         raise UsageError(f"{args.subcommand} reports have no {fmt} form")
+    # an unwritable --out fails now, not after the report is computed
+    if args.out is not None:
+        folder = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            raise UsageError(f"cannot write {args.out}: is a directory")
+        if not os.path.isdir(folder):
+            raise UsageError(f"cannot write {args.out}: no directory {folder}")
 
     code = 0
     if args.subcommand in ("survey", "verify"):

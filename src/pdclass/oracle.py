@@ -94,8 +94,9 @@ def lattice_cone_search(system: ConeSystem, radius: int) -> tuple[int, ...] | No
     s over the fixed coordinates, coefficient a and reach t (the most the
     later coordinates can add, radius times their absolute coefficients),
     stays satisfiable exactly when ``b + a * x >= 0`` for ``b = s + t``: that
-    is ``x >= -(b // a)`` for a > 0 and ``x <= b // -a`` for a < 0, and a
-    zero coefficient with b < 0 drops the whole prefix.  Every value outside
+    is ``x >= -(b // a)`` for a > 0 and ``x <= b // -a`` for a < 0; a zero
+    coefficient needs nothing, as the interval of the depth above leaves
+    every row with b >= 0 (at depth 0, s is 0).  Every value outside
     the intersection of these intervals leaves some row negative whatever
     follows, so every point skipped lies outside the cone, the values inside
     are scanned in increasing order, and the first point found is the
@@ -126,8 +127,6 @@ def lattice_cone_search(system: ConeSystem, radius: int) -> tuple[int, ...] | No
                 x = (s + t) // -a
                 if x < hi:
                     hi = x
-            elif s + t < 0:
-                return None
         if k == last:
             # every value in [lo, hi] completes a cone point; the first one
             # that is not the origin is the answer

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import pdclass.classifier
 import pdclass.cli
 import pdclass.oracle
 import pdclass.rootsys
@@ -59,6 +60,11 @@ class TestParsing:
         with pytest.raises(UsageError, match="rank"):
             parse_domain("Cx/1")
 
+    @pytest.mark.parametrize("text", ["2/1", "C/1"])
+    def test_domain_head_needs_a_letter_and_a_rank(self, text):
+        with pytest.raises(UsageError, match="expected a type letter then a rank"):
+            parse_domain(text)
+
     def test_domain_bad_label_position(self):
         with pytest.raises(UsageError, match="label 2"):
             parse_domain("C2/1,z")
@@ -96,6 +102,16 @@ class TestClassifyCommand:
             "nonclassical_pair (1,0)+(0,1)\n"
             "farkas_directions 4\n"
         )
+
+    def test_text_report_of_a_classical_domain(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "C2/0,1")
+        assert code == 0
+        assert out.endswith(
+            "bracket_generates no\n"
+            "cycle_chain_connected no\n"
+            "classical_weight -1,-1\n"
+        )
+        assert "nonclassical_pair" not in out and "farkas_directions" not in out
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "C2/1,1", "--format", "json")
@@ -162,9 +178,16 @@ class TestClassifyCommand:
         assert code == 1
         assert "COMPACT_FORM" in err
 
-    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    @pytest.mark.parametrize(
+        "target", ["directory", "missing-directory", "name-too-long"]
+    )
     def test_unwritable_out_exits_one(self, capsys, tmp_path, target):
-        out_path = tmp_path if target == "directory" else tmp_path / "absent" / "x"
+        # the first two are caught before the run, the last when writing
+        out_path = {
+            "directory": tmp_path,
+            "missing-directory": tmp_path / "absent" / "x",
+            "name-too-long": tmp_path / ("x" * 300),
+        }[target]
         code, out, err = run_cli(capsys, "classify", "C2/1,1", "--out", str(out_path))
         assert (code, out) == (1, "")
         assert err.startswith(f"error[USAGE]: cannot write {out_path}: ")
@@ -279,6 +302,24 @@ class TestSurveyCommand:
         assert "A1/1 classical=yes hermitian=yes m0=1 dim_D=1\n" in out
         assert "-- A1: total 1 classical 1 non-classical 0 hermitian 1\n" in out
         assert "failures 0\n" in out
+
+    def test_text_lists_a_failure(self, capsys, monkeypatch):
+        # C2/1,2 is the second member of the class of C2/1,0
+        original = pdclass.classifier.bracket_generation
+
+        def flipped(g):
+            generates, trace = original(g)
+            return (not generates if g.labels == (1, 2) else generates), trace
+
+        monkeypatch.setattr(pdclass.classifier, "bracket_generation", flipped)
+        code, out, _ = run_cli(capsys, "survey", "--types", "C", "--max-rank", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert "C2/1,2" not in " ".join(lines[:-2])
+        assert lines[-2] == "failures 1"
+        assert lines[-1].startswith(
+            "FAIL C2/1,2: InternalInconsistency: routes disagree with the parity class"
+        )
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -481,6 +522,20 @@ class TestRadiusBound:
         assert err == f"error[USAGE]: {message}\n"
 
 
+    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    @pytest.mark.parametrize(
+        "argv", [["classify", "C2/1,1"], ["survey"], ["verify"]], ids=lambda a: a[0]
+    )
+    def test_unwritable_out_rejected_before_building(
+        self, capsys, tmp_path, nothing_built, argv, target
+    ):
+        out_path = tmp_path if target == "directory" else tmp_path / "absent" / "x"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[USAGE]: cannot write {out_path}: ")
+        assert not (tmp_path / "absent").exists()
+
+
 @pytest.mark.usefixtures("nothing_built")
 class TestFormats:
     """The format is checked against the subcommand before anything is built."""
@@ -517,7 +572,10 @@ class TestFormats:
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         config = tmp_path / "pdclass.cfg"
-        config.write_text("types = G\nmax_rank = 2\nformat = csv\n", encoding="utf-8")
+        config.write_text(
+            "# the G2 sweep\n\ntypes = G\n   \nmax_rank = 2\nformat = csv\n",
+            encoding="utf-8",
+        )
         code, out, _ = run_cli(capsys, "survey", "--config", str(config))
         assert code == 0
         assert out.startswith("type,rank,labels")
@@ -539,6 +597,21 @@ class TestConfig:
         code, _, err = run_cli(capsys, "survey", "--config", str(config))
         assert code == 1
         assert "unknown key" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("types = A\nmax_rank 2\n", ":2: expected key=value"),
+            ("max_rank = x\n", " config value max_rank='x'"),
+        ],
+        ids=["no-equals", "non-integer"],
+    )
+    def test_malformed_line_rejected(self, capsys, tmp_path, nothing_built, text, message):
+        config = tmp_path / "pdclass.cfg"
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "survey", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error[USAGE]: ") and err.endswith(message + "\n")
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -666,10 +739,6 @@ class TestScripts:
             (
                 "explore_structures_max_rank_3.txt",
                 ["explore_structures.py", "--max-rank", "3"],
-            ),
-            (
-                "explore_structures_C2_1_1.txt",
-                ["explore_structures.py", "--domain", "C2/1,1"],
             ),
             (
                 "run_survey_AC_2.txt",

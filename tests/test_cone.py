@@ -270,6 +270,9 @@ class TestCertificates:
         assert not verify_certificate(
             sys, FarkasCertificate(2, cert.combinations[:-1])
         )
+        # one combination one coefficient short of the number of normals
+        short = (cert.combinations[0][:-1],) + cert.combinations[1:]
+        assert not verify_certificate(sys, FarkasCertificate(2, short))
 
 
 class TestDeterminismAndScaling:
