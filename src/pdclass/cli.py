@@ -352,8 +352,7 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
     """Run the named property suites over the bounded sweep; any failed check
     flips the exit code to the theorem-violation class."""
     instances = sweep_instances(types, max_rank)
-    # one record per check: name, failure count, the first 10 failing items,
-    # total and unit
+    # one record per check: name, failing items in order, total and unit
     records = []
     if suite in ("lemmas", "all"):
         systems = sorted({(t, r) for t, r, _ in instances})
@@ -364,9 +363,7 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
             )
             if not holds:
                 bad.append(f"{type_label}{rank}: {violations[0]}")
-        records.append(
-            ("triple_sum_reduction", len(bad), bad[:10], len(systems), "systems")
-        )
+        records.append(("triple_sum_reduction", bad, len(systems), "systems"))
 
         # one grading at a time: only the failing domains are kept
         compact, decomposition, applicable = [], [], 0
@@ -381,28 +378,24 @@ def run_verify(types, max_rank, radius, suite) -> tuple[str, int]:
             applicable += 1
             if not holds:
                 decomposition.append(domain_text(t, r, labels))
-        records += [
-            ("compact_from_noncompact", len(compact), compact[:10], len(instances),
-             "gradings"),
-            ("simple_noncompact_decomposition", len(decomposition),
-             decomposition[:10], applicable, "gradings"),
-        ]
+        records.append(("compact_from_noncompact", compact, len(instances), "gradings"))
+        records.append(
+            ("simple_noncompact_decomposition", decomposition, applicable, "gradings")
+        )
 
     if suite in ("equivalence", "all"):
         result = survey_crosscheck(types, max_rank, radius)
         bad = [": ".join(failure) for failure in result.failures]
-        records.append(
-            ("route_agreement", len(bad), bad[:10], len(instances), "gradings")
-        )
+        records.append(("route_agreement", bad, len(instances), "gradings"))
 
     lines = []
-    for name, failed, shown, total, unit in records:
-        if failed:
-            lines.append(f"CHECK {name}: FAIL ({failed} of {total} {unit})")
-            lines.extend(f"  {item}" for item in shown)
+    for name, bad, total, unit in records:
+        if bad:
+            lines.append(f"CHECK {name}: FAIL ({len(bad)} of {total} {unit})")
+            lines.extend(f"  {item}" for item in bad[:10])
         else:
             lines.append(f"CHECK {name}: ok ({total} {unit})")
-    failures = sum(record[1] for record in records)
+    failures = sum(len(bad) for _, bad, _, _ in records)
     lines.append(f"failures {failures}")
     return "\n".join(lines) + "\n", (2 if failures else 0)
 
