@@ -537,7 +537,9 @@ def run(argv=None) -> int:
     if args.subcommand == "classify":
         subject = (classify(parse_domain(args.domain)),)
     elif args.subcommand == "survey":
-        subject = (survey_crosscheck(types, max_rank, radius=radius, jobs=jobs),)
+        result = survey_crosscheck(types, max_rank, radius=radius, jobs=jobs)
+        subject = (result,)
+        code = 2 if result.failures else 0
     elif args.subcommand == "curvature":
         g = parse_domain(args.domain)
         subject = (g, parse_weight(args.weight, g.root_system.rank))

@@ -14,11 +14,12 @@ splitting), and can enumerate every structure of a small system outright.
 Structures keep their roots as frozensets of tuples, and derive their
 parabolic on first read, but the checks and the enumeration work on
 Python-int bitmasks over the root system's ``root_table``: bit i stands for
-the root of index i in canonical order.  The structures an enumeration
-finds are validated together, in one bit-sliced pass over the partner
-triples (:func:`_rejected`), rather than one by one in ``make_structure``.
-The Hermitian splitting reads no table: it checks its center direction on
-every root instead of summing roots.
+the root of index i in canonical order.  Only ``validate_structure``, on a
+candidate holding a non-root, sums tuples pair by pair.  The structures an
+enumeration finds are validated together, in one bit-sliced pass over the
+partner triples (:func:`_rejected`), rather than one by one in
+``make_structure``.  The Hermitian splitting reads no table: it checks its
+center direction on every root instead of summing roots.
 """
 from __future__ import annotations
 
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import HermitianAnomaly, NotHermitian, TooLarge, ValidationFailed
 from .grading import HodgeGrading
-from .rootsys import Root, RootSystem, RootTable, root_add, root_key, root_neg
+from .rootsys import Root, RootTable, root_add, root_key, root_neg
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +77,10 @@ def _members(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-def _opposite(table: RootTable, roots: Iterable[Root]) -> frozenset[Root]:
-    """The negatives of a set of roots, read from the table: they are the
-    table's own tuples, so later set comparisons meet the same objects."""
-    roots_of, negative = table.roots, table.negative
-    return frozenset(roots_of[negative[i]] for i in map(table.index.__getitem__, roots))
+def _negated(table: RootTable, mask: int) -> int:
+    """The mask of the negatives of the roots of ``mask``."""
+    negative = table.negative
+    return sum(1 << negative[i] for i in _members(mask))
 
 
 def _sums(table: RootTable, i: int, mask: int) -> int:
@@ -110,33 +110,6 @@ def _escapes(
                 if second >> j & 1 and outside >> k & 1
             )
     return escapes
-
-
-def _sums_outside(
-    rs: RootSystem, first: frozenset[Root], second: frozenset[Root], closed: frozenset[Root]
-) -> Iterator[tuple[Root, Root, Root]]:
-    """Each ``(a, b, a + b)`` with ``a + b`` a root outside ``closed``, for a
-    from ``first`` and b from ``second``, both taken in canonical order.
-
-    When both sets hold roots only, this is :func:`_escapes` on their
-    bitmasks: no sorting and no new roots.  A non-root may still sum with
-    something to a root, so a set holding one takes the full scan over
-    every pair.
-    """
-    if first <= rs.roots and second <= rs.roots:
-        table = rs.root_table
-        index = table.index
-        closed_roots = closed & rs.roots
-        yield from _escapes(
-            table, _mask(index, first), _mask(index, second), _mask(index, closed_roots)
-        )
-        return
-    ordered = sorted(second, key=root_key)
-    for a in sorted(first, key=root_key):
-        for b in ordered:
-            t = root_add(a, b)
-            if t in rs.roots and t not in closed:
-                yield a, b, t
 
 
 def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
@@ -171,10 +144,8 @@ def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
         raise HermitianAnomaly(
             f"no scaling of the center direction gives values +-1: {sorted(magnitudes)}"
         )
+    # the nullspace makes z positive at the lowest label-1 root, its first nonzero entry
     m = magnitudes.pop()
-    lowest = next(i for i, c in enumerate(g.labels) if c == 1)
-    if direction[lowest] < 0:
-        m = -m
     z = tuple(Fraction(x, m) for x in direction)
     plus = frozenset(b for b, v in values.items() if v == m)
     minus = frozenset(g.noncompact_roots - plus)
@@ -201,18 +172,17 @@ def validate_structure(
     equivalence rather than merely reject the candidate.
 
     A candidate of roots only is checked on bitmasks over the root
-    system's ``root_table`` (:func:`_escapes`); one holding a non-root takes
-    the full pair scan, with the same violations in the same order.
+    system's ``root_table`` (:func:`_escapes`).  A non-root may still sum
+    with something to a root, so a candidate holding one has every pair of
+    its tuples summed, with the same violations in the same order.
     """
     rs = g.root_system
     chosen = frozenset(map(tuple, candidate))
     if chosen <= rs.roots:
         table = rs.root_table
-        roots, negative = table.roots, table.negative
-        s = negated = 0
-        for i in map(table.index.__getitem__, chosen):
-            s |= 1 << i
-            negated |= 1 << negative[i]
+        roots = table.roots
+        s = _mask(table.index, chosen)
+        negated = _negated(table, s)
         isotropy = _mask(table.index, g.isotropy_roots)
         outside = [roots[i] for i in _members(s & isotropy)]
         everything = (1 << len(roots)) - 1
@@ -224,8 +194,16 @@ def validate_structure(
             (a for a in chosen if a not in rs.roots or a in g.isotropy_roots), key=root_key
         )
         halves = False  # a non-root lies in neither half
-        invariance = list(_sums_outside(rs, g.isotropy_roots, chosen, chosen))
-        escapes = list(_sums_outside(rs, chosen, chosen, chosen))
+        ordered = sorted(chosen, key=root_key)
+        invariance, escapes = (
+            [
+                (a, b, t)
+                for a in first
+                for b in ordered
+                if (t := root_add(a, b)) in rs.roots and t not in chosen
+            ]
+            for first in (sorted(g.isotropy_roots, key=root_key), ordered)
+        )
     violations: list[tuple[str, tuple]] = []
     if outside:
         violations.append(("universe", tuple(outside)))
@@ -277,14 +255,17 @@ def new_complex_structure(g: HodgeGrading) -> NewStructure:
 
 def parabolic_of(g: HodgeGrading, cs: ComplexStructure) -> frozenset[Root]:
     """The parabolic root set of a structure, re-checked for closure and for
-    covering the whole system together with its opposite."""
+    covering the whole system together with its opposite, on its bitmask
+    over the root system's ``root_table``."""
     rs = g.root_system
     roots = cs.parabolic_roots
-    for p1, p2, t in _sums_outside(rs, roots, roots, roots):
+    table = rs.root_table
+    # a set holding a non-root gets the empty mask, whose union with its
+    # opposite misses every root
+    p = _mask(table.index, roots) if roots <= rs.roots else 0
+    for p1, p2, t in _escapes(table, p, p, p):
         raise ValidationFailed(f"parabolic not closed: {p1} + {p2} = {t}")
-    # a non-root of ``roots`` has no negative in the table and keeps the
-    # union from being the system
-    if roots | _opposite(rs.root_table, roots & rs.roots) != rs.roots:
+    if p | _negated(table, p) != (1 << len(table.roots)) - 1:
         raise ValidationFailed("parabolic union its opposite misses roots")
     return roots
 
@@ -294,20 +275,23 @@ def positive_system_of(
 ) -> tuple[frozenset[Root], tuple[Root, ...]]:
     """The structure's root set together with the positive isotropy roots is
     a positive system; returns it with its indecomposable (simple) elements.
-    The sums of two of its roots, collected as one mask, check closure (a
-    sum outside the set raises, naming the first such pair in canonical
-    order) and leave the indecomposable elements."""
+
+    The checks run on the set's bitmask over the root system's
+    ``root_table``.  The set and its negatives must split the system.  The
+    sums of two of its roots, collected as one mask, check closure (a sum
+    outside the set raises, naming the first such pair in canonical order)
+    and leave the indecomposable elements."""
     rs = g.root_system
     isotropy_positive = frozenset(
         a for a in rs.positive_roots if a in g.isotropy_roots
     )
     positive = cs.roots | isotropy_positive
     table = rs.root_table
-    # as in parabolic_of, a non-root keeps the union from being the system
-    negated = _opposite(table, positive & rs.roots)
-    if positive | negated != rs.roots or positive & negated:
+    # as in parabolic_of, a set holding a non-root gets the empty mask
+    p = _mask(table.index, positive) if positive <= rs.roots else 0
+    negated = _negated(table, p)
+    if p | negated != (1 << len(table.roots)) - 1 or p & negated:
         raise ValidationFailed("structure does not induce a half-system")
-    p = _mask(table.index, positive)
     sums = 0
     for i in _members(p):
         sums |= _sums(table, i, p)

@@ -331,7 +331,7 @@ class TestClassify:
         readers = {name for name, node in functions.items() if reads_table(node)}
         while more := {name for name in functions if calls[name] & readers} - readers:
             readers |= more
-        assert "_sums_outside" in readers
+        assert "make_structure" in readers
         assert "hermitian_splitting" not in readers
 
     def test_nonclassical_hermitian_report(self, c2):

@@ -1,6 +1,7 @@
 """CLI tests: parsing, rendering, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -303,6 +304,16 @@ class TestSurveyCommand:
         assert "-- A1: total 1 classical 1 non-classical 0 hermitian 1\n" in out
         assert "failures 0\n" in out
 
+    def test_exceptional_text_pinned(self, capsys):
+        # the whole E6 report, byte for byte: no golden covers the E family
+        code, out, _ = run_cli(capsys, "survey", "--types", "E", "--max-rank", "6")
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 37701
+        assert hashlib.sha256(data).hexdigest() == (
+            "bf59e10b804cbfdac958e64305bd51e68c096da8ae8ab14cbc27d59a0596cf5a"
+        )
+
     def test_text_lists_a_failure(self, capsys, monkeypatch):
         # C2/1,2 is the second member of the class of C2/1,0
         original = pdclass.classifier.bracket_generation
@@ -312,7 +323,8 @@ class TestSurveyCommand:
             return (not generates if g.labels == (1, 2) else generates), trace
 
         monkeypatch.setattr(pdclass.classifier, "bracket_generation", flipped)
-        _, out, _ = run_cli(capsys, "survey", "--types", "C", "--max-rank", "2")
+        code, out, _ = run_cli(capsys, "survey", "--types", "C", "--max-rank", "2")
+        assert code == 2
         lines = out.splitlines()
         assert "C2/1,2" not in " ".join(lines[:-2])
         assert lines[-2] == "failures 1"

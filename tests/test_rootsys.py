@@ -266,6 +266,7 @@ def test_pairing_symmetric_and_bilinear(system, data):
     assert rs.pairing(a, b) == rs.pairing(b, a)
     two_a = tuple(2 * x for x in a)
     assert rs.pairing(two_a, b) == 2 * rs.pairing(a, b)
+    assert rs.pairing(b, two_a) == 2 * rs.pairing(b, a)
 
 
 def test_cartan_matrix_validation():

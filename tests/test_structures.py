@@ -25,9 +25,9 @@ from pdclass.structures import (
     positive_system_of,
     validate_structure,
     _propagate,
+    _escapes,
     _rejected,
     _sums,
-    _sums_outside,
 )
 
 from conftest import (
@@ -168,6 +168,13 @@ class TestHermitianSplitting:
             hs = hermitian_splitting(g)
             lowest = next(i for i, c in enumerate(g.labels) if c == 1)
             assert g.root_system.simple_roots[lowest] in hs.plus_roots
+
+    def test_center_direction_is_one_at_lowest_label_one(self):
+        # the direction needs no sign flip: its first nonzero coordinate is
+        # at the lowest label-1 simple root, and the nullspace makes it positive
+        for g in hermitian_sweep() + hermitian_exceptional():
+            lowest = g.labels.index(1)
+            assert hermitian_splitting(g).center_direction[lowest] == 1, g.labels
 
     def test_minus_half_is_abelian(self):
         for g in hermitian_gradings():
@@ -336,6 +343,16 @@ class TestParabolic:
             (-2, -1),
         }
 
+    def test_set_holding_a_non_root_rejected(self, c2):
+        g = make_grading(c2, (1, 1))
+        cs = new_complex_structure(g).structure
+        assert (1, 2) not in c2.roots
+        forged = ComplexStructure(cs.roots | {(1, 2)}, g.isotropy_roots)
+        with pytest.raises(ValidationFailed, match="parabolic union its opposite misses roots"):
+            parabolic_of(g, forged)
+        with pytest.raises(ValidationFailed, match="structure does not induce a half-system"):
+            positive_system_of(g, forged)
+
     def test_opposite_intersection_is_isotropy(self):
         for g in hermitian_gradings():
             ns = new_complex_structure(g)
@@ -367,6 +384,13 @@ class TestPositiveSystem:
             assert len(positive) == len(rs.positive_roots)
             assert positive | {tuple(-x for x in a) for a in positive} == rs.roots
             assert len(simples) == rs.rank
+
+    def test_whole_system_is_no_half_system(self, c2):
+        # closed under sums and covering the system, but holding each pair whole
+        g = make_grading(c2, (1, 1))
+        forged = ComplexStructure(c2.roots, g.isotropy_roots)
+        with pytest.raises(ValidationFailed, match="structure does not induce a half-system"):
+            positive_system_of(g, forged)
 
 
 class TestProjectionHolomorphic:
@@ -670,6 +694,7 @@ class TestReferenceAgreement:
     def test_sums_outside_on_structure_sets(self):
         for g in hermitian_sweep() + hermitian_exceptional():
             rs = g.root_system
+            table = rs.root_table
             cs = new_complex_structure(g).structure
             positive, _ = positive_system_of(g, cs)
             empty = frozenset()
@@ -681,7 +706,8 @@ class TestReferenceAgreement:
                 (cs.parabolic_roots, cs.roots, empty),
                 (rs.roots, g.noncompact_roots, g.isotropy_roots),
             ):
-                assert list(_sums_outside(rs, first, second, closed)) == list(
+                masks = (sum(1 << table.index[a] for a in x) for x in (first, second, closed))
+                assert _escapes(table, *masks) == list(
                     reference_sums_outside(rs, first, second, closed)
                 )
 
