@@ -15,17 +15,23 @@ Structures keep their roots as frozensets of tuples, and derive their
 parabolic on first read, but the checks and the enumeration work on
 Python-int bitmasks over the root system's ``root_table``: bit i stands for
 the root of index i in canonical order.  Only ``validate_structure``, on a
-candidate holding a non-root, sums tuples pair by pair.  The structures an
-enumeration finds are validated together, in one bit-sliced pass over the
-partner triples (:func:`_rejected`), rather than one by one in
-``make_structure``.  The Hermitian splitting reads no table: it checks its
-center direction on every root instead of summing roots.
+candidate holding a non-root, sums tuples pair by pair.  A mask goes back
+to roots through one decoding (:func:`_row`): ``bin`` and one translate
+table turn it into a row of 0/1 bytes, and ``itertools.compress`` over the
+row picks the roots, negatives or ranks of its members.  The enumeration
+decodes each mask it finds once; the row gives the structure's sort key and
+its roots, and the rows together, transposed, the columns of one
+bit-sliced check of every structure over the partner triples
+(:func:`_rejected`), rather than one ``make_structure`` call per structure.
+The Hermitian splitting reads no table: it checks its center direction on
+every root instead of summing roots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from operator import mul
 from typing import Iterable
 
@@ -66,21 +72,31 @@ class NewStructure:
     projection_holomorphic: bool
 
 
+# one 256-byte table, its own inverse: the digits "0" and "1" to the bytes 0
+# and 1, and those bytes back to the digits
+_BITS = bytes.maketrans(b"01\0\1", b"\0\1" + b"01")
+
+
 def _mask(index: dict[Root, int], roots: Iterable[Root]) -> int:
     """The bitmask of a set of roots: bit i stands for the root of index i."""
-    return sum(1 << i for i in map(index.__getitem__, roots))
+    return sum(map((1).__lshift__, map(index.__getitem__, roots)))
 
 
-def _members(mask: int) -> list[int]:
+def _row(mask: int, size: int = 0) -> bytes:
+    """Bit i of a mask as byte i, 0 or 1, padded with zeros to ``size``
+    bytes: ``itertools.compress`` over it picks the entries of the set bits."""
+    # bin() reversed reads from the lowest bit, without its "0b"
+    return bin(mask)[:1:-1].encode().translate(_BITS).ljust(size, b"\0")
+
+
+def _members(mask: int) -> Iterable[int]:
     """The indices of the set bits of a mask, ascending."""
-    # bin() read from the lowest bit; its trailing "b0" holds no "1"
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    return compress(count(), _row(mask))
 
 
 def _negated(table: RootTable, mask: int) -> int:
     """The mask of the negatives of the roots of ``mask``."""
-    negative = table.negative
-    return sum(1 << negative[i] for i in _members(mask))
+    return sum(map((1).__lshift__, compress(table.negative, _row(mask))))
 
 
 def _sums(table: RootTable, i: int, mask: int) -> int:
@@ -92,24 +108,34 @@ def _sums(table: RootTable, i: int, mask: int) -> int:
     return found
 
 
+def _all_sums(table: RootTable, first: int, second: int) -> int:
+    """The bitmask of the sums of a root of ``first`` with a root of
+    ``second`` that are roots: :func:`_sums` over the roots of ``first``."""
+    shifts = table.shifts
+    found = 0
+    for i in _members(first):
+        for d, targets in shifts[i]:
+            found |= (second << d if d > 0 else second >> -d) & targets
+    return found
+
+
 def _escapes(
     table: RootTable, first: int, second: int, closed: int
 ) -> list[tuple[Root, Root, Root]]:
     """Each ``(a, b, a + b)`` with a in ``first``, b in ``second`` and
     ``a + b`` outside ``closed`` (all three bitmasks over the indices of
-    ``table``), in canonical order of a, then of b.  Only a root a with
-    some sum outside ``closed`` has its partner pairs listed."""
-    roots, partners = table.roots, table.partners
+    ``table``), in canonical order of a, then of b.  The partner pairs are
+    listed only when the sums, taken together, leave ``closed``."""
     outside = ~closed
-    escapes = []
-    for i in _members(first):
-        if _sums(table, i, second) & outside:
-            escapes.extend(
-                (roots[i], roots[j], roots[k])
-                for j, k in partners[i]
-                if second >> j & 1 and outside >> k & 1
-            )
-    return escapes
+    if not _all_sums(table, first, second) & outside:
+        return []
+    roots, partners = table.roots, table.partners
+    return [
+        (roots[i], roots[j], roots[k])
+        for i in _members(first)
+        for j, k in partners[i]
+        if second >> j & 1 and outside >> k & 1
+    ]
 
 
 def hermitian_splitting(g: HodgeGrading) -> HermitianSplitting | None:
@@ -184,7 +210,7 @@ def validate_structure(
         s = _mask(table.index, chosen)
         negated = _negated(table, s)
         isotropy = _mask(table.index, g.isotropy_roots)
-        outside = [roots[i] for i in _members(s & isotropy)]
+        outside = list(compress(roots, _row(s & isotropy)))
         everything = (1 << len(roots)) - 1
         halves = (s | negated) == everything ^ isotropy and not (s & negated)
         invariance = _escapes(table, isotropy, s, s)
@@ -227,7 +253,8 @@ def make_structure(g: HodgeGrading, candidate) -> ComplexStructure:
     ok, violations = validate_structure(g, candidate)
     if not ok:
         raise ValidationFailed(f"invalid structure: {violations[0]}")
-    chosen = frozenset(map(tuple, candidate))
+    # a valid frozenset holds root tuples only: no need to hash it again
+    chosen = candidate if type(candidate) is frozenset else frozenset(map(tuple, candidate))
     return ComplexStructure(roots=chosen, isotropy_roots=g.isotropy_roots)
 
 
@@ -282,23 +309,18 @@ def positive_system_of(
     outside the set raises, naming the first such pair in canonical order)
     and leave the indecomposable elements."""
     rs = g.root_system
-    isotropy_positive = frozenset(
-        a for a in rs.positive_roots if a in g.isotropy_roots
-    )
-    positive = cs.roots | isotropy_positive
+    positive = cs.roots | g.isotropy_roots.intersection(rs.positive_roots)
     table = rs.root_table
     # as in parabolic_of, a set holding a non-root gets the empty mask
     p = _mask(table.index, positive) if positive <= rs.roots else 0
     negated = _negated(table, p)
     if p | negated != (1 << len(table.roots)) - 1 or p & negated:
         raise ValidationFailed("structure does not induce a half-system")
-    sums = 0
-    for i in _members(p):
-        sums |= _sums(table, i, p)
+    sums = _all_sums(table, p, p)
     if sums & ~p:
         p1, p2, _ = _escapes(table, p, p, p)[0]
         raise ValidationFailed(f"positive system not closed: {p1} + {p2}")
-    return positive, tuple(table.roots[i] for i in _members(p & ~sums))
+    return positive, tuple(compress(table.roots, _row(p & ~sums)))
 
 
 def is_projection_holomorphic(
@@ -306,7 +328,7 @@ def is_projection_holomorphic(
 ) -> bool:
     """Whether the structure's noncompact half matches the splitting's minus
     half, i.e. the fibration over G/K respects both complex structures."""
-    return frozenset(a for a in cs.roots if a in g.noncompact_roots) == hs.minus_roots
+    return cs.roots & g.noncompact_roots == hs.minus_roots
 
 
 def _propagate(
@@ -339,24 +361,27 @@ def _propagate(
     return assigned
 
 
-def _rejected(table: RootTable, isotropy: int, members: list[list[int]]) -> int:
+def _rejected(table: RootTable, isotropy: int, rows: list[bytes]) -> int:
     """The mask of the candidates that fail a structure condition: bit t is
-    set when the roots of indices ``members[t]`` (over ``table``) lie in the
+    set when the roots marked in ``rows[t]`` (byte i is 1 when the candidate
+    holds root i of ``table``, padded to the root count) lie in the
     isotropy, miss or repeat a pair outside it, leave a sum with an isotropy
     root, or leave a sum of two of their own.
 
-    The check is bit-sliced: ``cols[i]`` holds bit t when candidate t holds
-    root i, so one walk over the negatives and the partner triples tests
-    every candidate at once.  It reads ``partners``, not the offset groups
-    that :func:`_propagate` reads, so a fault in one is not mirrored in
-    the other.
+    The check is bit-sliced: the rows transposed give ``cols[i]``, with bit
+    t set when candidate t holds root i, so one walk over the negatives and
+    the partner triples tests every candidate at once.  It reads
+    ``partners``, not the offset groups that :func:`_propagate` reads, so a
+    fault in one is not mirrored in the other.
     """
-    cols = [0] * len(table.roots)
-    for t, m in enumerate(members):
-        bit = 1 << t
-        for i in m:
-            cols[i] |= bit
-    everyone = (1 << len(members)) - 1
+    if not rows:
+        return 0
+    # the rows joined, last first, as digits: every size-th digit from i is
+    # column i as a binary numeral, candidate t at bit t
+    size = len(table.roots)
+    digits = b"".join(reversed(rows)).translate(_BITS)
+    cols = [int(digits[i::size], 2) for i in range(size)]
+    everyone = (1 << len(rows)) - 1
     bad = 0
     for i, (col, pairs) in enumerate(zip(cols, table.partners)):
         if isotropy >> i & 1:
@@ -426,13 +451,16 @@ def enumerate_structures(
         stack.append((assigned, neg, p + 1))
         stack.append((assigned, rep, p + 1))
 
-    # tuples of ranks sort like the tuples of roots they stand for
+    # each mask decoded once; tuples of ranks sort like the tuples of roots
+    # they stand for
+    size = len(roots_of)
     rank = table.tuple_rank
-    members = sorted(map(_members, found), key=lambda m: tuple(map(rank.__getitem__, m)))
-    rejected = _rejected(table, isotropy, members)
+    rows = sorted(
+        (_row(mask, size) for mask in found), key=lambda row: tuple(compress(rank, row))
+    )
+    rejected = _rejected(table, isotropy, rows)
     if rejected:
-        first = members[(rejected & -rejected).bit_length() - 1]
-        roots = tuple(map(roots_of.__getitem__, first))
+        roots = tuple(compress(roots_of, rows[(rejected & -rejected).bit_length() - 1]))
         ok, violations = validate_structure(g, roots)
         if ok:
             raise ValidationFailed(
@@ -440,7 +468,7 @@ def enumerate_structures(
             )
         raise ValidationFailed(f"invalid structure: {violations[0]}")
     structures = tuple(
-        ComplexStructure(frozenset(map(roots_of.__getitem__, m)), g.isotropy_roots)
-        for m in members
+        ComplexStructure(frozenset(compress(roots_of, row)), g.isotropy_roots)
+        for row in rows
     )
     return structures, truncated

@@ -70,6 +70,27 @@ class TestParsing:
         with pytest.raises(UsageError, match="label 2"):
             parse_domain("C2/1,z")
 
+    @pytest.mark.parametrize("head", ["A21", "b30", "C60", "D21"])
+    @pytest.mark.parametrize("subcommand", ["classify", "curvature", "structures"])
+    def test_rank_above_the_cap_rejected_before_building(
+        self, capsys, nothing_built, subcommand, head
+    ):
+        rank = int(head[1:])
+        spec = f"{head}/" + ",".join(["1"] * rank)
+        argv = [subcommand, spec]
+        if subcommand == "curvature":
+            argv += ["--weight", ",".join(["1"] * rank)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error[TOO_LARGE]: domain spec {spec!r}: rank {rank} is above the cap 20"
+            " for the families A-D\n"
+        )
+
+    def test_rank_at_the_cap_accepted(self):
+        g = parse_domain("A20/" + ",".join(["1"] + ["0"] * 19))
+        assert g.root_system.rank == 20
+
     def test_label_count_checked_against_rank(self):
         with pytest.raises(UsageError, match="expected 3 labels for C3, got 2"):
             parse_domain("c3/1,0")
@@ -478,6 +499,41 @@ class TestRadiusBound:
         assert time.perf_counter() - start < 2
         assert (code, out) == (1, "")
         assert err.startswith("error[USAGE]: radius must be >= 1")
+
+    @pytest.mark.parametrize("subcommand", ["survey", "verify"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_radius_above_the_cap_rejected_before_the_sweep(
+        self, capsys, tmp_path, nothing_built, subcommand, source
+    ):
+        argv = [subcommand, "--types", "A", "--max-rank", "2"]
+        if source == "flag":
+            argv += ["--radius", "11"]
+        else:
+            config = tmp_path / "pdclass.cfg"
+            config.write_text("oracle_radius = 1000\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        radius = 11 if source == "flag" else 1000
+        assert err == f"error[USAGE]: radius must be <= 10, got {radius}\n"
+
+    @pytest.mark.parametrize(
+        "subcommand, option, families",
+        [
+            ("survey", ["--types", "A", "--max-rank", "20"], "A up to rank 20"),
+            ("verify", ["--max-rank", "9"], "A,B,C,D,E,F,G up to rank 9"),
+        ],
+    )
+    def test_sweep_above_the_grading_cap_rejected_before_the_sweep(
+        self, capsys, nothing_built, subcommand, option, families
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, subcommand, *option)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error[TOO_LARGE]: the sweep of {families} has more than 50000 gradings\n"
+        )
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_jobs_below_one_rejected_before_the_sweep(

@@ -15,8 +15,12 @@ from pdclass.classifier import (
 )
 from pdclass.cone import decide_cone, make_cone_system
 from pdclass.grading import make_grading
+from pdclass.errors import TooLarge
 from pdclass.oracle import (
+    MAX_RADIUS,
+    MAX_SWEEP_GRADINGS,
     check_instance,
+    check_sweep,
     lattice_cone_search,
     survey_crosscheck,
     sweep_instances,
@@ -284,6 +288,41 @@ class TestSurvey:
         monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
         with pytest.raises(ValueError, match=message):
             survey_crosscheck(types, max_rank)
+
+    def test_radius_above_the_cap_raises_before_the_sweep(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("sweep or root system built before the radius check")
+
+        monkeypatch.setattr(pdclass.oracle, "sweep_instances", forbidden)
+        monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
+        for radius in (MAX_RADIUS + 1, 1000):
+            with pytest.raises(ValueError, match=f"radius must be <= 10, got {radius}"):
+                survey_crosscheck(["A", "C"], 2, radius=radius)
+
+    @pytest.mark.parametrize(
+        "types, max_rank",
+        [(["A"], 20), (["A"], 10**12), (list("ABCDEFG"), 9), (["B", "C", "D"], 10)],
+    )
+    def test_sweep_above_the_grading_cap_raises_before_the_sweep(
+        self, monkeypatch, types, max_rank
+    ):
+        def forbidden(*args):
+            raise AssertionError("sweep or root system built before the size check")
+
+        monkeypatch.setattr(pdclass.oracle, "sweep_instances", forbidden)
+        monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
+        families = ",".join(types)
+        with pytest.raises(
+            TooLarge, match=f"sweep of {families} up to rank {max_rank} has more than 50000"
+        ):
+            survey_crosscheck(types, max_rank)
+
+    def test_grading_cap_admits_every_family_up_to_rank_eight(self):
+        # the largest documented run, verify --max-rank 8 over every family
+        check_sweep(list("ABCDEFG"), 8, MAX_RADIUS, 1)
+        assert len(sweep_instances(list("ABCDEFG"), 8)) == 46392 <= MAX_SWEEP_GRADINGS
+        # rank 9 adds 3**9 - 2**9 gradings for each of A-D
+        assert 46392 + 4 * (3**9 - 2**9) > MAX_SWEEP_GRADINGS
 
     def test_mixed_list_sweeps_the_families_that_reach_max_rank(self):
         result = survey_crosscheck(["A", "E"], 2)

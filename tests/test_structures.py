@@ -73,6 +73,17 @@ def hermitian_exceptional():
     return tuple(g for g in gradings if hermitian_splitting(g) is not None)
 
 
+@lru_cache(maxsize=None)
+def hermitian_e6_enumerable():
+    """The 5 Hermitian-type E6 gradings with at most 24 root pairs, the
+    default ``max_pairs``: masks over 72 roots, past one machine word."""
+    return tuple(
+        g
+        for g in all_gradings("E", 6)
+        if len(g.tangent_roots) <= 24 and len(g.compact_center_basis) == 1
+    )
+
+
 def all_gradings(type_label, rank):
     rs = build_root_system(type_label, rank)
     return (make_grading(rs, labels) for labels in sweep_label_vectors(rank))
@@ -119,8 +130,8 @@ def batch_rejects(g, candidates):
     the enumeration's batch check."""
     table = g.root_system.root_table
     isotropy = sum(1 << table.index[a] for a in g.isotropy_roots)
-    members = [sorted(map(table.index.__getitem__, c)) for c in candidates]
-    rejected = _rejected(table, isotropy, members)
+    rows = [bytes(a in c for a in table.roots) for c in candidates]
+    rejected = _rejected(table, isotropy, rows)
     return [bool(rejected >> t & 1) for t in range(len(candidates))]
 
 
@@ -740,7 +751,8 @@ class TestReferenceAgreement:
         assert (checked, raised) == (2610, 1998)
 
     def test_enumeration(self):
-        for g in hermitian_sweep():
+        assert len(hermitian_e6_enumerable()) == 5
+        for g in hermitian_sweep() + hermitian_e6_enumerable():
             structures, truncated = enumerate_structures(g)
             expected, expected_truncated = reference_enumerate_structures(g)
             assert truncated == expected_truncated
@@ -749,7 +761,7 @@ class TestReferenceAgreement:
             ]
 
     def test_enumeration_with_limit(self):
-        for g in hermitian_sweep()[::20]:
+        for g in hermitian_sweep()[::20] + hermitian_e6_enumerable():
             for limit in (1, 2, 5):
                 structures, truncated = enumerate_structures(g, limit=limit)
                 expected, expected_truncated = reference_enumerate_structures(g, limit=limit)
