@@ -842,6 +842,16 @@ class TestScripts:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.endswith(f"error: {message}\n")
 
+    @pytest.mark.parametrize("script", ["run_survey.py", "explore_structures.py"])
+    def test_scripts_reject_a_sweep_above_the_grading_cap(self, script):
+        start = time.perf_counter()
+        proc = self.run_script(script, "--max-rank", "9")
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(
+            "error: the sweep of A,B,C,D,E,F,G up to rank 9 has more than 50000 gradings\n"
+        )
+
     def test_run_survey_rejects_unknown_family(self):
         proc = self.run_script("run_survey.py", "--types", "X")
         assert (proc.returncode, proc.stdout) == (2, "")
