@@ -15,7 +15,7 @@ from pdclass.cli import DEFAULT_TYPES
 from pdclass.classifier import classify
 from pdclass.errors import TooLarge, UsageError
 from pdclass.grading import domain_text, make_grading
-from pdclass.oracle import DEFAULT_RADIUS, check_sweep, sweep_instances
+from pdclass.oracle import check_sweep, sweep_instances
 from pdclass.rootsys import build_root_system
 from pdclass.structures import enumerate_structures, hermitian_splitting
 
@@ -53,8 +53,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-pairs", type=int, default=16)
     args = parser.parse_args(argv)
     try:
-        # the radius and job count are the survey's; this sweep has none
-        check_sweep(DEFAULT_TYPES.split(","), args.max_rank, DEFAULT_RADIUS, 1)
+        check_sweep(DEFAULT_TYPES.split(","), args.max_rank)
     except (ValueError, UsageError) as exc:
         parser.error(str(exc))
     return sweep(args.max_rank, args.max_pairs)

@@ -59,6 +59,10 @@ CONFIG_KEYS = ("types", "max_rank", "oracle_radius", "format", "jobs")
 # rank cap of a domain spec in the unbounded families; classify took up to
 # 1.6 s at rank 20 and up to 14 s at rank 30
 MAX_DOMAIN_RANK = 20
+# digits of one weight entry, an exponent counting as that many digits; the
+# eigenvalues of a rank-20 weight then stay far below Python's 4,300-digit
+# limit on printing an integer
+MAX_WEIGHT_DIGITS = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,6 +108,16 @@ def parse_weight(text: str, rank: int) -> tuple[Fraction, ...]:
     parts = text.split(",")
     weight = []
     for i, part in enumerate(parts):
+        # read on the text: Fraction("1e999999999") builds a 10**9-digit integer
+        mantissa, _, exponent = part.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "")
+        digits = sum(c.isdecimal() for c in part)
+        if digits <= MAX_WEIGHT_DIGITS and exponent.isdecimal():
+            digits = sum(c.isdecimal() for c in mantissa) + int(exponent)
+        if digits > MAX_WEIGHT_DIGITS:
+            raise UsageError(
+                f"weight entry {i + 1} has more than {MAX_WEIGHT_DIGITS} digits"
+            )
         try:
             weight.append(Fraction(part.strip()))
         except (ValueError, ZeroDivisionError):
@@ -429,7 +443,7 @@ def _read_config(path: str) -> dict:
                 if key not in CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
     return values
 

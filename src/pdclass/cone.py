@@ -86,18 +86,12 @@ def signed_directions(dimension: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _coprime_integers(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Clear denominators and divide by the gcd.  The sign is preserved,
-    since a cone is not symmetric; callers that want a canonical sign (the
-    compact center basis) flip it themselves."""
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _coprime_integers(vec: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries.  The sign is
+    kept, since a cone is not symmetric; the zero vector comes back as it
+    is, for the caller to reject."""
+    g = gcd(*vec) or 1
+    return tuple(x // g for x in vec)
 
 
 def _phase_one(

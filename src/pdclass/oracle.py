@@ -12,12 +12,13 @@ The survey reports disagreements as data instead of crashing, and it works
 by parity class.  A root is compact exactly when its grade is even, so the
 compact and noncompact positives depend only on which labels equal 1 (the
 Hodge-parity split of Griffiths and Schmid), and so does everything built
-from them alone: the cone system, its decision and certificate, the lattice
-point, ``m0`` and the Hermitian type.  One grading per class runs
-:func:`check_instance` in full.  Every grading builds its own root sets and
-runs its own definitional and bracket routes, and the structures checks when
-non-classical and Hermitian, since the isotropy depends on the 0/2 choice.
-So all three routes run once per distinct cone system.
+from them alone: the definitional route, the cone system, its decision and
+certificate, the lattice point, ``m0`` and the Hermitian type.  One grading
+per class runs :func:`check_instance` in full.  Every grading builds its own
+root sets and runs its own bracket route, which also reads the fiber roots,
+and the structures checks when non-classical and Hermitian, since the
+isotropy depends on the 0/2 choice.  So all three routes run once per
+distinct cone system.
 """
 from __future__ import annotations
 
@@ -43,6 +44,9 @@ DEFAULT_RADIUS = 3
 MAX_RADIUS = 10
 # admits every family up to rank 8: 46,392 gradings
 MAX_SWEEP_GRADINGS = 50_000
+# a pooled survey starts up to one thread per parity class, 2,458 on the
+# largest sweep the grading cap admits; this caps the pool
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +197,8 @@ def check_instance(g: HodgeGrading, radius: int = DEFAULT_RADIUS) -> SurveyRow:
     """Classify one grading and cross-check every route against the others:
     ``classify``, the lattice scan on the cone system the cone route decided
     on, and the structures checks when non-classical and Hermitian.  The
-    survey runs it on the first grading of each parity class, and on every
-    grading of a class whose first grading failed."""
+    survey runs it on each grading of a parity class up to the first one
+    that passes."""
     report = classify(g)
     point = lattice_cone_search(report.cone_system, radius)
     if point is not None and not report.classical:
@@ -218,22 +222,22 @@ def _check_member(
     split: tuple[tuple[Root, ...], tuple[Root, ...]],
     verdict: SurveyRow,
 ) -> SurveyRow:
-    """Another grading of a class whose first grading passed
-    ``check_instance``: its compact and noncompact positives must equal the
-    class's ``split`` as exact tuples, and its own definitional and bracket
-    routes must reach the class verdict."""
+    """A grading of a class whose first passing grading gave ``split`` and
+    the row ``verdict``: its compact and noncompact positives must equal
+    ``split`` as exact tuples, and its bracket route, which also reads the
+    fiber roots that vary within a class, must reach the class verdict.  The
+    split fixes all that the definitional route and ``m0`` read."""
     if (g.compact_positive, g.noncompact_positive) != split:
         raise InternalInconsistency("root split differs from its parity class")
-    classical, _ = classifier.is_classical_definitional(g)
     generates, _ = classifier.bracket_generation(g)
-    if classical != verdict.classical or generates == verdict.classical:
+    if generates == verdict.classical:
         raise InternalInconsistency(
-            f"routes disagree with the parity class: definitional "
-            f"{classical}, bracket {not generates}, class {verdict.classical}"
+            f"routes disagree with the parity class: bracket {not generates},"
+            f" class {verdict.classical}"
         )
-    if not classical and verdict.hermitian:
+    if not verdict.classical and verdict.hermitian:
         _structures_checks(g)
-    return replace(verdict, labels=g.labels, m0=g.m0, dim_D=g.dim_D)
+    return replace(verdict, labels=g.labels, dim_D=g.dim_D)
 
 
 def _survey_class(
@@ -241,39 +245,39 @@ def _survey_class(
 ) -> list[tuple[SurveyRow | None, tuple[str, str] | None]]:
     """(row, failure) per member of one parity class, in the members' order.
 
-    Each member's grading is built once, inside its own check.  The first
-    member runs ``check_instance``.  If it fails, every other member runs
-    ``check_instance`` on its own, so one fault neither spreads a verdict
-    nor hides a failure.
+    Each member's grading is built once, inside its own failure capture.
+    Members run ``check_instance`` until one passes; every later member runs
+    ``_check_member`` against that one's split and row, so one fault neither
+    spreads an unchecked verdict nor hides a failure.
     """
-
-    def attempt(instance, check, *args):
+    outcomes = []
+    reference = None
+    for instance in members:
         type_label, rank, labels = instance
         try:
             g = make_grading(build_root_system(type_label, rank), labels)
-            return check(g, *args), None
+            if reference is None:
+                # looked up at call time: the span tracer wraps check_instance
+                row = check_instance(g, radius)
+                reference = (g.compact_positive, g.noncompact_positive), row
+            else:
+                row = _check_member(g, *reference)
+            outcomes.append((row, None))
         except Exception as exc:  # noqa: BLE001 - failures are data here
-            return None, (domain_text(*instance), f"{type(exc).__name__}: {exc}")
-
-    def represent(g):
-        # check_instance is looked up here at call time: the span tracer wraps it
-        return check_instance(g, radius), (g.compact_positive, g.noncompact_positive)
-
-    first, failure = attempt(members[0], represent)
-    if first is None:
-        return [(None, failure)] + [attempt(m, check_instance, radius) for m in members[1:]]
-    verdict, split = first
-    others = [attempt(m, _check_member, split, verdict) for m in members[1:]]
-    return [(verdict, None)] + others
+            failure = domain_text(*instance), f"{type(exc).__name__}: {exc}"
+            outcomes.append((None, failure))
+    return outcomes
 
 
-def check_sweep(types: Sequence[str], max_rank: int, radius: int, jobs: int) -> None:
+def check_sweep(
+    types: Sequence[str], max_rank: int, radius: int = DEFAULT_RADIUS, jobs: int = 1
+) -> None:
     """Raise ``ValueError`` on an empty family list, a max rank, radius or
-    job count below 1, a radius above ``MAX_RADIUS``, or a max rank below
-    every listed family's lowest rank, since an empty sweep checks nothing.
-    Raise ``TooLarge`` on a sweep of more than ``MAX_SWEEP_GRADINGS``
-    gradings, counted from the 3**r - 2**r label vectors of each rank r.
-    Builds nothing."""
+    job count below 1, a radius above ``MAX_RADIUS``, a job count above
+    ``MAX_JOBS``, or a max rank below every listed family's lowest rank,
+    since an empty sweep checks nothing.  Raise ``TooLarge`` on a sweep of
+    more than ``MAX_SWEEP_GRADINGS`` gradings, counted from the 3**r - 2**r
+    label vectors of each rank r.  Builds nothing."""
     if not any(t.strip() for t in types):
         raise ValueError("the family list is empty")
     for name, value in (("max rank", max_rank), ("radius", radius), ("jobs", jobs)):
@@ -281,6 +285,8 @@ def check_sweep(types: Sequence[str], max_rank: int, radius: int, jobs: int) -> 
             raise ValueError(f"{name} must be >= 1, got {value}")
     if radius > MAX_RADIUS:
         raise ValueError(f"radius must be <= {MAX_RADIUS}, got {radius}")
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs must be <= {MAX_JOBS}, got {jobs}")
     families = sweep_families(types, max_rank)
     if not families:
         raise ValueError(f"no listed family has a rank <= {max_rank}")
@@ -306,10 +312,10 @@ def survey_crosscheck(
     """Run every sweep grading through all routes, one parity class at a
     time; tabulate and collect failures rather than raising.
 
-    Per class, the first grading in sweep order runs ``check_instance``.
-    Every other one must show the same compact and noncompact positives, its
-    own definitional and bracket routes must reach the class verdict, and
-    its row takes the verdict and Hermitian type from the class (see
+    Per class, the gradings in sweep order run ``check_instance`` until one
+    passes.  Every later one must show the same compact and noncompact
+    positives and its own bracket route must reach the class verdict; its
+    row takes the verdict, ``m0`` and Hermitian type from the class (see
     ``_check_member``).  The class table lives for one call.  ``jobs`` only
     spreads the class tasks over threads; rows merge back into sweep order,
     so the result is the same for any job count.  ``check_sweep`` runs

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, inf
+from math import gcd, inf, lcm
 from operator import add, neg
 from typing import Iterable, NamedTuple, Sequence
 
@@ -83,10 +83,10 @@ def cartan_matrix(type_label: str, rank: int) -> tuple[tuple[int, ...], ...]:
     if type_label in ("A", "B", "C"):
         for i in range(rank - 1):
             join(i, i + 1)
-        if type_label == "B" and rank >= 2:
+        if type_label == "B":
             # last simple root short: the double bond points at it
             join(rank - 2, rank - 1, -2, -1)
-        if type_label == "C" and rank >= 2:
+        if type_label == "C":
             # last simple root long
             join(rank - 2, rank - 1, -1, -2)
     elif type_label == "D":
@@ -122,14 +122,15 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 pending.append(j)
     if None in d:
         raise InternalInconsistency("Cartan matrix not connected")
-    scale = 1
-    for v in d:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
+    scale = lcm(*(v.denominator for v in d))
     ints = [int(v * scale) for v in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     return tuple(v // g for v in ints)
+
+
+def _bilinear_times(bilinear: Sequence[Sequence[int]], alpha: Sequence[int]) -> Root:
+    """The integer vector B @ alpha."""
+    return tuple(sum(b * a for b, a in zip(row, alpha)) for row in bilinear)
 
 
 def _coroot_pairing(cartan: Sequence[Sequence[int]], beta: Sequence[int], i: int) -> int:
@@ -258,12 +259,7 @@ class RootSystem:
     def bilinear_row(self, alpha: Root) -> tuple[int, ...]:
         """The integer vector B @ alpha, cached for every root."""
         row = self.bilinear_by_root.get(alpha)
-        if row is None:
-            row = tuple(
-                sum(self.bilinear[i][j] * alpha[j] for j in range(self.rank))
-                for i in range(self.rank)
-            )
-        return row
+        return _bilinear_times(self.bilinear, alpha) if row is None else row
 
     def pairing(self, weight: Sequence[Fraction | int], alpha: Root) -> Fraction:
         """Bilinear pairing (weight, alpha), exact."""
@@ -298,11 +294,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
             f"{type_label}{rank}: generated {2 * len(positives)} roots, expected {count}"
         )
     all_roots = frozenset(positives) | frozenset(map(root_neg, positives))
-    by_root = {}
-    for alpha in all_roots:
-        by_root[alpha] = tuple(
-            sum(bilinear[i][j] * alpha[j] for j in range(rank)) for i in range(rank)
-        )
+    by_root = {alpha: _bilinear_times(bilinear, alpha) for alpha in all_roots}
     return RootSystem(
         type_label=type_label,
         rank=rank,

@@ -106,6 +106,34 @@ class TestParsing:
         with pytest.raises(UsageError, match="rank-2"):
             parse_weight("1,2,3", 2)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a 5,001-digit value: its eigenvalues could not be printed
+            "1e5000,0",
+            # each under Python's 4,300-digit limit, their lcm is not
+            f"1/{10**3000 + 1},1/{10**3000 + 3}",
+            # Fraction would build a 10**9-digit integer
+            "1e999999999,0",
+        ],
+        ids=["exponent", "denominators", "huge-exponent"],
+    )
+    def test_weight_entry_above_the_digit_cap(self, text):
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="weight entry 1 has more than 100 digits"):
+            parse_weight(text, 2)
+        assert time.perf_counter() - start < 1
+
+    def test_weight_at_the_digit_cap_prints_at_rank_twenty(self, capsys):
+        # twenty 99-digit denominators over a numerator of 1: 100 digits each
+        weight = ",".join(f"1/{10**98 + 2 * k + 1}" for k in range(20))
+        assert parse_weight("1e99,0", 2) == (Fraction(10**99), Fraction(0))
+        code, out, err = run_cli(
+            capsys, "curvature", "A20/" + ",".join(["1"] + ["0"] * 19), "--weight", weight
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("domain A20/1,") and "\nq " in out
+
 
 class TestClassifyCommand:
     def test_text_report(self, capsys):
@@ -551,6 +579,23 @@ class TestRadiusBound:
             assert (code, out) == (1, "")
             assert err == f"error[USAGE]: jobs must be >= 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_above_the_cap_rejected_before_the_sweep(
+        self, capsys, tmp_path, nothing_built, source
+    ):
+        # the builders are forbidden, so no thread pool can start
+        for jobs in ("65", "100000"):
+            argv = ["survey", "--types", "A,B,C,D,E,F,G", "--max-rank", "8"]
+            if source == "flag":
+                argv += ["--jobs", jobs]
+            else:
+                config = tmp_path / "pdclass.cfg"
+                config.write_text(f"jobs = {jobs}\n", encoding="utf-8")
+                argv += ["--config", str(config)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error[USAGE]: jobs must be <= 64, got {jobs}\n"
+
 
     @pytest.mark.parametrize("subcommand", ["survey", "verify"])
     @pytest.mark.parametrize(
@@ -679,6 +724,13 @@ class TestConfig:
         code, out, err = run_cli(capsys, "survey", "--config", str(config))
         assert (code, out) == (1, "")
         assert err.startswith("error[USAGE]: ") and err.endswith(message + "\n")
+
+    def test_undecodable_file_rejected(self, capsys, tmp_path, nothing_built):
+        config = tmp_path / "pdclass.cfg"
+        config.write_bytes(b"types = A\xff\n")
+        code, out, err = run_cli(capsys, "survey", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[USAGE]: cannot read config {config}: 'utf-8' codec")
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -17,6 +17,7 @@ from pdclass.cone import decide_cone, make_cone_system
 from pdclass.grading import make_grading
 from pdclass.errors import TooLarge
 from pdclass.oracle import (
+    MAX_JOBS,
     MAX_RADIUS,
     MAX_SWEEP_GRADINGS,
     check_instance,
@@ -267,6 +268,24 @@ class TestSurvey:
             with pytest.raises(ValueError, match="jobs must be >= 1"):
                 survey_crosscheck(["A", "C"], 2, jobs=jobs)
 
+    def test_jobs_above_the_cap_raise_before_the_sweep(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("sweep or root system built before the jobs check")
+
+        monkeypatch.setattr(pdclass.oracle, "sweep_instances", forbidden)
+        monkeypatch.setattr(pdclass.oracle, "build_root_system", forbidden)
+        for jobs in (MAX_JOBS + 1, 100_000):
+            with pytest.raises(ValueError, match=f"jobs must be <= 64, got {jobs}"):
+                survey_crosscheck(["A", "C"], 2, jobs=jobs)
+        # the cap admits the job counts the tests and criterion 9 run with;
+        # check_sweep builds nothing, so no pool starts here
+        assert MAX_JOBS >= 4
+        check_sweep(["A", "C"], 2, jobs=MAX_JOBS)
+
+    def test_radius_and_jobs_are_optional(self):
+        # a sweep with no lattice scan and no pool, as in explore_structures.py
+        assert check_sweep(["A"], 2) is None
+
     @pytest.mark.parametrize(
         "types, max_rank, message",
         [
@@ -358,8 +377,9 @@ class TestSurvey:
 
 
 class TestParityClasses:
-    """The survey decides the cone once per parity class (which labels equal
-    1) and runs the definitional and bracket routes on every grading."""
+    """The survey decides the cone and runs the definitional route once per
+    parity class (which labels equal 1), and the bracket route on every
+    grading."""
 
     def test_work_per_class_and_per_grading_on_the_sweep(self, monkeypatch):
         names = ("decide", "lattice", "definitional", "bracket", "grading", "structures")
@@ -376,11 +396,12 @@ class TestParityClasses:
         assert result.failures == ()
         assert len(result.rows) == 403
         assert len(calls["decide"]) == len(calls["lattice"]) == 109
-        assert len(calls["definitional"]) == len(calls["bracket"]) == 403
+        assert len(calls["definitional"]) == 109
+        assert len(calls["bracket"]) == 403
         # each grading built exactly once
         built = {(rs.type_label, rs.rank, tuple(labels)) for rs, labels in calls["grading"]}
         assert len(calls["grading"]) == len(built) == 403
-        graded = {(g.root_system.type_label, g.labels) for (g,) in calls["definitional"]}
+        graded = {(g.root_system.type_label, g.labels) for (g,) in calls["bracket"]}
         assert len(graded) == 403
         # the structures checks on every non-classical Hermitian grading
         assert len(calls["structures"]) == sum(
@@ -395,20 +416,22 @@ class TestParityClasses:
         ]
 
     def test_member_with_a_different_split_fails_alone(self, monkeypatch):
-        # C2/0,1 and C2/2,1 form one class; C2/2,1 is its second member
+        # C2/0,1 and C2/2,1 form one class; C2/2,1 is its second member.  The
+        # noncompact half matters too: the members skip the definitional route
         original = pdclass.oracle.make_grading
+        for field in ("compact_positive", "noncompact_positive"):
 
-        def forged(rs, labels):
-            g = original(rs, labels)
-            if tuple(labels) == (2, 1):
-                return replace(g, compact_positive=g.compact_positive[1:])
-            return g
+            def forged(rs, labels):
+                g = original(rs, labels)
+                if tuple(labels) == (2, 1):
+                    return replace(g, **{field: getattr(g, field)[1:]})
+                return g
 
-        monkeypatch.setattr(pdclass.oracle, "make_grading", forged)
-        result = survey_crosscheck(["C"], 2)
-        assert [domain for domain, _ in result.failures] == ["C2/2,1"]
-        assert result.failures[0][1].startswith("InternalInconsistency: root split")
-        assert [row.labels for row in result.rows] == [(0, 1), (1, 0), (1, 1), (1, 2)]
+            monkeypatch.setattr(pdclass.oracle, "make_grading", forged)
+            result = survey_crosscheck(["C"], 2)
+            assert [domain for domain, _ in result.failures] == ["C2/2,1"], field
+            assert result.failures[0][1].startswith("InternalInconsistency: root split")
+            assert [row.labels for row in result.rows] == [(0, 1), (1, 0), (1, 1), (1, 2)]
 
     @pytest.mark.parametrize("labels", [(0, 1), (2, 1)], ids=["first", "member"])
     def test_grading_build_that_raises_fails_alone(self, monkeypatch, labels):
@@ -430,8 +453,10 @@ class TestParityClasses:
     def test_failed_representative_leaves_its_class_checked_one_by_one(
         self, monkeypatch, jobs
     ):
-        # the class of A3/0,1,0 has the members (0,1,0), (0,1,2), (2,1,0), (2,1,2)
-        checked = []
+        # the class of A3/0,1,0: the first member fails, the second passes
+        # check_instance, and the other two are checked against the second
+        members = [(0, 1, 0), (0, 1, 2), (2, 1, 0), (2, 1, 2)]
+        checked, compared = [], []
         original = pdclass.oracle.check_instance
 
         def failing(g, radius):
@@ -441,27 +466,28 @@ class TestParityClasses:
             return original(g, radius)
 
         monkeypatch.setattr(pdclass.oracle, "check_instance", failing)
+        counting(monkeypatch, pdclass.oracle, "_check_member", compared)
         result = survey_crosscheck(["A"], 3, jobs=jobs)
         assert result.failures == (("A3/0,1,0", "RuntimeError: forged fault"),)
-        members = [(0, 1, 2), (2, 1, 0), (2, 1, 2)]
-        assert all(labels in checked for labels in members)
+        assert [labels for labels in checked if labels in members] == members[:2]
+        assert [g.labels for g, _, _ in compared if g.labels in members] == members[2:]
         reference = {
-            labels: row_fields(original(grading_of("A", 3, labels), 3)) for labels in members
+            labels: row_fields(original(grading_of("A", 3, labels), 3))
+            for labels in members[1:]
         }
         rows = {row.labels: row_fields(row) for row in result.rows if row.rank == 3}
-        assert {labels: rows[labels] for labels in members} == reference
+        assert {labels: rows[labels] for labels in members[1:]} == reference
         assert len(result.rows) == 1 + 5 + 18
 
-    @pytest.mark.parametrize("route", ["is_classical_definitional", "bracket_generation"])
-    def test_member_whose_route_disagrees_fails_alone(self, monkeypatch, route):
+    def test_member_whose_route_disagrees_fails_alone(self, monkeypatch):
         # C2/1,2 is the second member of the class of C2/1,0
-        original = getattr(pdclass.classifier, route)
+        original = pdclass.classifier.bracket_generation
 
         def flipped(g):
-            verdict, proof = original(g)
-            return (not verdict if g.labels == (1, 2) else verdict), proof
+            generates, trace = original(g)
+            return (not generates if g.labels == (1, 2) else generates), trace
 
-        monkeypatch.setattr(pdclass.classifier, route, flipped)
+        monkeypatch.setattr(pdclass.classifier, "bracket_generation", flipped)
         result = survey_crosscheck(["C"], 2)
         assert [domain for domain, _ in result.failures] == ["C2/1,2"]
         assert "routes disagree with the parity class" in result.failures[0][1]
