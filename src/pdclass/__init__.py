@@ -8,6 +8,7 @@ complex structures on the Hermitian-type cases.
 from .classifier import (
     DomainReport,
     bracket_generation,
+    bracket_verdicts,
     classify,
     cone_criterion,
     curvature_signature,
@@ -94,6 +95,7 @@ __all__ = [
     "UsageError",
     "ValidationFailed",
     "bracket_generation",
+    "bracket_verdicts",
     "build_root_system",
     "cartan_matrix",
     "classify",

@@ -5,18 +5,21 @@ The three routes, sum-freeness of the positive noncompact roots, triviality
 of a rational inequality cone, and bracket-generation of the tangent space,
 are computed by unrelated algorithms and must agree; :func:`classify` raises
 ``InternalInconsistency`` rather than pick a winner if they ever do not.
+:func:`bracket_verdicts` decides the bracket route for many gradings of one
+root system at once, by an algorithm unrelated to :func:`bracket_generation`.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .cone import ConeDecision, ConeSystem, FarkasCertificate, decide_cone, make_cone_system
 from .errors import InternalInconsistency, PreconditionClassical
 from .grading import HodgeGrading, domain_text, rational_nullspace
-from .rootsys import Root, root_add, root_key, root_neg
+from .rootsys import Root, RootSystem, root_add, root_key, root_neg
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +118,78 @@ def bracket_generation(g: HodgeGrading) -> tuple[bool, tuple[Root, ...]]:
         fresh = set(added)
     generates = all(b in current for b in g.noncompact_positive)
     return generates, tuple(trace)
+
+
+@lru_cache(maxsize=None)
+def _sum_table(
+    rs: RootSystem,
+) -> tuple[dict[Root, int], dict[Root, int], tuple[tuple[int, int, int], ...]]:
+    """The roots of ``rs`` numbered by integer code, with every sum.
+
+    A root codes as ``sum(c_i * B**i)`` with ``B = 4 * max|c| + 1``; a sum
+    of two roots keeps every digit within ``2 * max|c| < B / 2``, so codes
+    add and negate like roots.  Returns the index of each root, the index of
+    each root's negative, and every ``(i, j, k)`` with ``i <= j`` and root i
+    + root j = root k.  Built on first use, once per root system.
+    """
+    base = 4 * max(map(max, rs.positive_roots)) + 1
+    code_of = {}
+    for root in rs.roots:
+        code = 0
+        for c in reversed(root):
+            code = code * base + c
+        code_of[root] = code
+    codes = sorted(code_of.values())
+    at = {code: i for i, code in enumerate(codes)}
+    sums = tuple(
+        (i, j, at[a + b])
+        for i, a in enumerate(codes)
+        for j, b in enumerate(codes[i:], i)
+        if a + b in at
+    )
+    index = {root: at[code] for root, code in code_of.items()}
+    opposite = {root: at[-code] for root, code in code_of.items()}
+    return index, opposite, sums
+
+
+def bracket_verdicts(gradings: Sequence[HodgeGrading]) -> tuple[bool, ...]:
+    """The verdict of :func:`bracket_generation` for each of several
+    gradings of one root system, from one closure over the system's sums.
+
+    Bit m of ``held[k]`` says that root k lies in the closure of grading m.
+    Each grading seeds its bit on its fiber roots and negated noncompact
+    positives, and ``held[k] |= held[i] & held[j]`` then runs over every
+    sum root i + root j = root k of :func:`_sum_table` until a pass adds
+    nothing: the least fixpoint of every bit at once, that is, each
+    grading's own closure (bit-slicing, as in Biham 1997).  Grading m
+    generates iff bit m is set on every one of its noncompact positives.
+    Raises ``ValueError`` when the gradings do not share one root system.
+    """
+    if not gradings:
+        return ()
+    rs = gradings[0].root_system
+    if any(g.root_system is not rs for g in gradings):
+        raise ValueError("the gradings do not share one root system")
+    index, opposite, sums = _sum_table(rs)
+    held = [0] * len(index)
+    for m, g in enumerate(gradings):
+        bit = 1 << m
+        for a in g.fiber_roots:
+            held[index[a]] |= bit
+        for b in g.noncompact_positive:
+            held[opposite[b]] |= bit
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in sums:
+            both = held[i] & held[j]
+            if both | held[k] != held[k]:
+                held[k] |= both
+                changed = True
+    return tuple(
+        all(held[index[b]] >> m & 1 for b in g.noncompact_positive)
+        for m, g in enumerate(gradings)
+    )
 
 
 def sign_violations(g: HodgeGrading, weight: Sequence[Fraction | int]) -> int:

@@ -15,10 +15,13 @@ Hodge-parity split of Griffiths and Schmid), and so does everything built
 from them alone: the definitional route, the cone system, its decision and
 certificate, the lattice point, ``m0`` and the Hermitian type.  One grading
 per class runs :func:`check_instance` in full.  Every grading builds its own
-root sets and runs its own bracket route, which also reads the fiber roots,
-and the structures checks when non-classical and Hermitian, since the
-isotropy depends on the 0/2 choice.  So all three routes run once per
-distinct cone system.
+root sets.  The bracket route also reads the fiber roots, which vary within
+a class, so every other member must reach the class verdict on it: one
+call of :func:`classifier.bracket_verdicts` per class decides all of them,
+by a bit-sliced closure unrelated to :func:`classifier.bracket_generation`.
+Each member then runs the structures checks when non-classical and
+Hermitian, since the isotropy depends on the 0/2 choice.  So all three
+routes run once per distinct cone system.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from .classifier import classify, grading_cone_system
 from .cone import ConeSystem
 from .errors import InternalInconsistency, InvalidTypeRank, TooLarge
 from .grading import HodgeGrading, domain_text, make_grading
-from .rootsys import FAMILY_RANKS, Root, build_root_system
+from .rootsys import FAMILY_RANKS, build_root_system
 # validate_structure stays bound here for the span tracer in perfbench/tracing.py
 from .structures import new_complex_structure, positive_system_of, validate_structure
 
@@ -217,19 +220,11 @@ def check_instance(g: HodgeGrading, radius: int = DEFAULT_RADIUS) -> SurveyRow:
     return SurveyRow.from_report(report)
 
 
-def _check_member(
-    g: HodgeGrading,
-    split: tuple[tuple[Root, ...], tuple[Root, ...]],
-    verdict: SurveyRow,
-) -> SurveyRow:
-    """A grading of a class whose first passing grading gave ``split`` and
-    the row ``verdict``: its compact and noncompact positives must equal
-    ``split`` as exact tuples, and its bracket route, which also reads the
-    fiber roots that vary within a class, must reach the class verdict.  The
-    split fixes all that the definitional route and ``m0`` read."""
-    if (g.compact_positive, g.noncompact_positive) != split:
-        raise InternalInconsistency("root split differs from its parity class")
-    generates, _ = classifier.bracket_generation(g)
+def _check_member(g: HodgeGrading, generates: bool, verdict: SurveyRow) -> SurveyRow:
+    """A grading of a class whose first passing grading gave the row
+    ``verdict``, with its bracket verdict ``generates`` from the class
+    batch: the bracket route also reads the fiber roots, which vary within
+    a class, so it must reach the class verdict on its own."""
     if generates == verdict.classical:
         raise InternalInconsistency(
             f"routes disagree with the parity class: bracket {not generates},"
@@ -246,26 +241,55 @@ def _survey_class(
     """(row, failure) per member of one parity class, in the members' order.
 
     Each member's grading is built once, inside its own failure capture.
-    Members run ``check_instance`` until one passes; every later member runs
-    ``_check_member`` against that one's split and row, so one fault neither
-    spreads an unchecked verdict nor hides a failure.
+    Members run ``check_instance`` until one passes.  Every later member
+    must show that one's compact and noncompact positives as exact tuples,
+    which fixes all that the definitional route and ``m0`` read.  Those
+    that do go through one ``classifier.bracket_verdicts`` call, and each
+    then runs ``_check_member`` against the passing row.  A member that
+    fails before the batch is left out of it, and an exception from the
+    batch fails every member in it, so one fault neither spreads an
+    unchecked verdict nor hides a failure.
     """
-    outcomes = []
+    outcomes: list = [None] * len(members)
+
+    def fail(position: int, exc: Exception) -> None:
+        failure = domain_text(*members[position]), f"{type(exc).__name__}: {exc}"
+        outcomes[position] = None, failure
+
     reference = None
-    for instance in members:
-        type_label, rank, labels = instance
+    batch = []
+    for position, (type_label, rank, labels) in enumerate(members):
         try:
             g = make_grading(build_root_system(type_label, rank), labels)
+            split = g.compact_positive, g.noncompact_positive
             if reference is None:
                 # looked up at call time: the span tracer wraps check_instance
                 row = check_instance(g, radius)
-                reference = (g.compact_positive, g.noncompact_positive), row
+                reference = split, row
+                outcomes[position] = row, None
+            elif split != reference[0]:
+                raise InternalInconsistency("root split differs from its parity class")
             else:
-                row = _check_member(g, *reference)
-            outcomes.append((row, None))
+                batch.append((position, g))
         except Exception as exc:  # noqa: BLE001 - failures are data here
-            failure = domain_text(*instance), f"{type(exc).__name__}: {exc}"
-            outcomes.append((None, failure))
+            fail(position, exc)
+    if not batch:
+        return outcomes
+    try:
+        verdicts = classifier.bracket_verdicts([g for _, g in batch])
+        if len(verdicts) != len(batch):
+            raise InternalInconsistency(
+                f"{len(verdicts)} bracket verdicts for {len(batch)} gradings"
+            )
+    except Exception as exc:  # noqa: BLE001 - failures are data here
+        for position, _ in batch:
+            fail(position, exc)
+        return outcomes
+    for (position, g), generates in zip(batch, verdicts):
+        try:
+            outcomes[position] = _check_member(g, generates, reference[1]), None
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            fail(position, exc)
     return outcomes
 
 
@@ -314,9 +338,10 @@ def survey_crosscheck(
 
     Per class, the gradings in sweep order run ``check_instance`` until one
     passes.  Every later one must show the same compact and noncompact
-    positives and its own bracket route must reach the class verdict; its
+    positives, and its bracket verdict, decided for the whole class by one
+    ``classifier.bracket_verdicts`` call, must reach the class verdict; its
     row takes the verdict, ``m0`` and Hermitian type from the class (see
-    ``_check_member``).  The class table lives for one call.  ``jobs`` only
+    ``_survey_class``).  The class table lives for one call.  ``jobs`` only
     spreads the class tasks over threads; rows merge back into sweep order,
     so the result is the same for any job count.  ``check_sweep`` runs
     before any grading is built.

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from itertools import compress, product
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import pdclass
 from pdclass.classifier import (
+    _sum_table,
     bracket_generation,
+    bracket_verdicts,
     classify,
     cone_criterion,
     curvature_signature,
@@ -168,6 +174,118 @@ class TestReferenceBracketAgreement:
     def test_exceptional_sample(self, type_label, rank, labels):
         g = make_grading(build_root_system(type_label, rank), labels)
         assert bracket_generation(g) == reference_bracket_generation(g)
+
+
+def parity_classes(rs, label_vectors):
+    """The gradings of ``rs`` grouped by which labels equal 1, in order."""
+    classes = {}
+    for labels in label_vectors:
+        key = tuple(c == 1 for c in labels)
+        classes.setdefault(key, []).append(make_grading(rs, labels))
+    return list(classes.values())
+
+
+def single_one_class(rank, position):
+    """The gradings with their one label 1 at ``position`` and every other
+    label 0 or 2: a parity class of 2**(rank - 1) members."""
+    return [
+        rest[:position] + (1,) + rest[position:]
+        for rest in product((0, 2), repeat=rank - 1)
+    ]
+
+
+def assert_batch_agrees(gradings):
+    assert bracket_verdicts(gradings) == tuple(
+        bracket_generation(g)[0] for g in gradings
+    )
+
+
+class TestBracketVerdicts:
+    """The bit-sliced batch gives ``bracket_generation``'s verdict for every
+    grading it is handed."""
+
+    @pytest.mark.parametrize("type_label,rank", SWEEP_SYSTEMS)
+    def test_every_sweep_class(self, type_label, rank):
+        rs = build_root_system(type_label, rank)
+        for gradings in parity_classes(rs, sweep_label_vectors(rank)):
+            assert_batch_agrees(gradings)
+
+    def test_every_e6_class(self):
+        rs = build_root_system("E", 6)
+        for gradings in parity_classes(rs, sweep_label_vectors(6)):
+            assert_batch_agrees(gradings)
+
+    def test_e7_class_of_64_members(self):
+        # bit 63 and beyond: the masks are wider than a machine word
+        rs = build_root_system("E", 7)
+        gradings = [make_grading(rs, labels) for labels in single_one_class(7, 0)]
+        assert len(gradings) == 64
+        assert_batch_agrees(gradings)
+
+    def test_two_e7_classes_interleaved(self):
+        # every member of the first class generates and none of the second,
+        # so the verdicts alternate over 128 bits
+        rs = build_root_system("E", 7)
+        first, second = single_one_class(7, 0), single_one_class(7, 6)
+        gradings = [
+            make_grading(rs, labels)
+            for pair in zip(first, second)
+            for labels in pair
+        ]
+        assert bracket_verdicts(gradings) == (True, False) * 64
+        assert_batch_agrees(gradings)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_forged_seeds(self, data):
+        # both closures are defined for any seed, and unlike a grading's,
+        # a forged seed can need more than one pass over the sums
+        type_label, rank = data.draw(
+            st.sampled_from([("A", 3), ("B", 2), ("G", 2), ("C", 3), ("D", 4)])
+        )
+        rs = build_root_system(type_label, rank)
+        grading = make_grading(rs, (1,) * rank)
+        positives = rs.positive_roots
+        subsets = st.lists(
+            st.booleans(), min_size=len(positives), max_size=len(positives)
+        ).map(lambda flags: tuple(compress(positives, flags)))
+        size = data.draw(st.integers(min_value=1, max_value=6))
+        gradings = []
+        for _ in range(size):
+            fiber, noncompact = data.draw(subsets), data.draw(subsets)
+            gradings.append(replace(grading, fiber_roots=fiber, noncompact_positive=noncompact))
+        assert_batch_agrees(gradings)
+
+    def test_batch_of_one(self, c2, g2):
+        for rs, labels in ((c2, (1, 1)), (c2, (0, 1)), (g2, (1, 0))):
+            assert_batch_agrees([make_grading(rs, labels)])
+
+    def test_empty_batch(self):
+        assert bracket_verdicts([]) == ()
+
+    def test_gradings_of_two_root_systems_rejected(self, c2, g2):
+        with pytest.raises(ValueError, match="one root system"):
+            bracket_verdicts([make_grading(c2, (1, 1)), make_grading(g2, (1, 0))])
+
+    def test_sum_table_built_on_first_use_only(self):
+        rs = build_root_system.__wrapped__("C", 3)
+        before = _sum_table.cache_info()
+        bracket_verdicts([make_grading(rs, (1, 0, 2))])
+        bracket_verdicts([make_grading(rs, (0, 1, 0))])
+        after = _sum_table.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
+        # importing the package builds no table
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import pdclass.cli, pdclass.oracle\n"
+                "print(pdclass.classifier._sum_table.cache_info().currsize)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 class TestSignViolations:
@@ -333,6 +451,35 @@ class TestClassify:
             readers |= more
         assert "make_structure" in readers
         assert "hermitian_splitting" not in readers
+
+    def test_batch_shares_nothing_with_the_tuple_closure(self):
+        # the batch and the function that builds its table read no root table
+        # and use none of bracket_generation's helpers, so the survey's member
+        # check and its class representative's closure cannot fail the same way
+        path = Path(pdclass.__file__).parent / "classifier.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = {
+            node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+        helpers = {"root_add", "root_neg", "root_key", "bisect", "bisect_left"}
+        for name in ("bracket_verdicts", "_sum_table"):
+            used = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(functions[name])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            constants = {
+                n.value for n in ast.walk(functions[name]) if isinstance(n, ast.Constant)
+            }
+            assert "root_table" not in used | constants, name
+            assert used & helpers == set(), name
+            assert "bracket_generation" not in used, name
+        called = {
+            n.func.id
+            for n in ast.walk(functions["bracket_verdicts"])
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        }
+        assert "_sum_table" in called
 
     def test_nonclassical_hermitian_report(self, c2):
         report = classify(make_grading(c2, (1, 1)))

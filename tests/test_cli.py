@@ -363,15 +363,26 @@ class TestSurveyCommand:
             "bf59e10b804cbfdac958e64305bd51e68c096da8ae8ab14cbc27d59a0596cf5a"
         )
 
+    def test_exceptional_rank_seven_text_pinned(self, capsys):
+        # every E6 and E7 grading, byte for byte
+        code, out, _ = run_cli(capsys, "survey", "--types", "E", "--max-rank", "7")
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 157799
+        assert hashlib.sha256(data).hexdigest() == (
+            "9bce93b903072ac3a96f4aca303041b641a3e22b237ec4fddb17e54de11fccff"
+        )
+
     def test_text_lists_a_failure(self, capsys, monkeypatch):
-        # C2/1,2 is the second member of the class of C2/1,0
-        original = pdclass.classifier.bracket_generation
+        # C2/1,2 is the second member of the class of C2/1,0, and its
+        # bracket verdict comes from the class batch
+        original = pdclass.classifier.bracket_verdicts
 
-        def flipped(g):
-            generates, trace = original(g)
-            return (not generates if g.labels == (1, 2) else generates), trace
+        def flipped(gradings):
+            verdicts = original(gradings)
+            return tuple(v != (g.labels == (1, 2)) for g, v in zip(gradings, verdicts))
 
-        monkeypatch.setattr(pdclass.classifier, "bracket_generation", flipped)
+        monkeypatch.setattr(pdclass.classifier, "bracket_verdicts", flipped)
         code, out, _ = run_cli(capsys, "survey", "--types", "C", "--max-rank", "2")
         assert code == 2
         lines = out.splitlines()

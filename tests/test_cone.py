@@ -462,6 +462,23 @@ if [domain for domain, _ in failures] != ["C2/2,1"]:
 if not failures[0][1].startswith("InternalInconsistency: root split"):
     raise SystemExit(f"a forged root split gave {failures[0][1]}")
 pdclass.oracle.make_grading = make_grading
+# a member whose batch bracket verdict is forged fails alone; C2/1,2 is the
+# second member of the class of C2/1,0
+bracket_verdicts = pdclass.classifier.bracket_verdicts
+
+
+def forged_verdicts(gradings):
+    verdicts = bracket_verdicts(gradings)
+    return tuple(v != (g.labels == (1, 2)) for g, v in zip(gradings, verdicts))
+
+
+pdclass.classifier.bracket_verdicts = forged_verdicts
+failures = pdclass.oracle.survey_crosscheck(["C"], 2).failures
+if [domain for domain, _ in failures] != ["C2/1,2"]:
+    raise SystemExit(f"a forged bracket verdict failed {failures}")
+if "routes disagree with the parity class" not in failures[0][1]:
+    raise SystemExit(f"a forged bracket verdict gave {failures[0][1]}")
+pdclass.classifier.bracket_verdicts = bracket_verdicts
 c2 = parse_domain("C2/1,1")
 pdclass.classifier.sign_violations = lambda g, weight: -1
 try:

@@ -377,12 +377,14 @@ class TestSurvey:
 
 
 class TestParityClasses:
-    """The survey decides the cone and runs the definitional route once per
-    parity class (which labels equal 1), and the bracket route on every
-    grading."""
+    """The survey decides the cone and runs the definitional route and the
+    tuple bracket closure once per parity class (which labels equal 1), and
+    decides every other member's bracket route in one batch per class."""
 
     def test_work_per_class_and_per_grading_on_the_sweep(self, monkeypatch):
-        names = ("decide", "lattice", "definitional", "bracket", "grading", "structures")
+        names = (
+            "decide", "lattice", "definitional", "bracket", "batch", "grading", "structures"
+        )
         calls = {name: [] for name in names}
         counting(monkeypatch, pdclass.classifier, "decide_cone", calls["decide"])
         counting(monkeypatch, pdclass.oracle, "lattice_cone_search", calls["lattice"])
@@ -390,6 +392,7 @@ class TestParityClasses:
             monkeypatch, pdclass.classifier, "is_classical_definitional", calls["definitional"]
         )
         counting(monkeypatch, pdclass.classifier, "bracket_generation", calls["bracket"])
+        counting(monkeypatch, pdclass.classifier, "bracket_verdicts", calls["batch"])
         counting(monkeypatch, pdclass.oracle, "make_grading", calls["grading"])
         counting(monkeypatch, pdclass.oracle, "new_complex_structure", calls["structures"])
         result = survey_crosscheck(SWEEP_FAMILIES, SWEEP_MAX_RANK)
@@ -397,12 +400,27 @@ class TestParityClasses:
         assert len(result.rows) == 403
         assert len(calls["decide"]) == len(calls["lattice"]) == 109
         assert len(calls["definitional"]) == 109
-        assert len(calls["bracket"]) == 403
+        # the class references run the tuple closure, the other members one
+        # batch per class that has more than one member
+        assert len(calls["bracket"]) == 109
+        classes = {}
+        for type_label, rank, labels in sweep_instances(SWEEP_FAMILIES, SWEEP_MAX_RANK):
+            key = type_label, rank, tuple(c == 1 for c in labels)
+            classes.setdefault(key, []).append((type_label, rank, labels))
+        assert [
+            [(g.root_system.type_label, g.root_system.rank, g.labels) for g in gradings]
+            for (gradings,) in calls["batch"]
+        ] == [members[1:] for members in classes.values() if len(members) > 1]
+        batched = [g for (gradings,) in calls["batch"] for g in gradings]
+        assert len(batched) == 294
         # each grading built exactly once
         built = {(rs.type_label, rs.rank, tuple(labels)) for rs, labels in calls["grading"]}
         assert len(calls["grading"]) == len(built) == 403
-        graded = {(g.root_system.type_label, g.labels) for (g,) in calls["bracket"]}
-        assert len(graded) == 403
+        graded = {
+            (g.root_system.type_label, g.root_system.rank, g.labels)
+            for g in [g for (g,) in calls["bracket"]] + batched
+        }
+        assert graded == built
         # the structures checks on every non-classical Hermitian grading
         assert len(calls["structures"]) == sum(
             not row.classical and row.hermitian for row in result.rows
@@ -456,7 +474,7 @@ class TestParityClasses:
         # the class of A3/0,1,0: the first member fails, the second passes
         # check_instance, and the other two are checked against the second
         members = [(0, 1, 0), (0, 1, 2), (2, 1, 0), (2, 1, 2)]
-        checked, compared = [], []
+        checked, batches, compared = [], [], []
         original = pdclass.oracle.check_instance
 
         def failing(g, radius):
@@ -466,10 +484,18 @@ class TestParityClasses:
             return original(g, radius)
 
         monkeypatch.setattr(pdclass.oracle, "check_instance", failing)
+        counting(monkeypatch, pdclass.classifier, "bracket_verdicts", batches)
         counting(monkeypatch, pdclass.oracle, "_check_member", compared)
         result = survey_crosscheck(["A"], 3, jobs=jobs)
         assert result.failures == (("A3/0,1,0", "RuntimeError: forged fault"),)
         assert [labels for labels in checked if labels in members] == members[:2]
+        # neither the failed member nor the reference enters the batch
+        class_batches = [
+            [g.labels for g in gradings]
+            for (gradings,) in batches
+            if gradings[0].root_system.rank == 3 and gradings[0].labels in members
+        ]
+        assert class_batches == [members[2:]]
         assert [g.labels for g, _, _ in compared if g.labels in members] == members[2:]
         reference = {
             labels: row_fields(original(grading_of("A", 3, labels), 3))
@@ -480,15 +506,37 @@ class TestParityClasses:
         assert len(result.rows) == 1 + 5 + 18
 
     def test_member_whose_route_disagrees_fails_alone(self, monkeypatch):
-        # C2/1,2 is the second member of the class of C2/1,0
-        original = pdclass.classifier.bracket_generation
+        # C2/1,2 is the second member of the class of C2/1,0; its bracket
+        # verdict comes from the class batch
+        original = pdclass.classifier.bracket_verdicts
 
-        def flipped(g):
-            generates, trace = original(g)
-            return (not generates if g.labels == (1, 2) else generates), trace
+        def flipped(gradings):
+            verdicts = original(gradings)
+            return tuple(v != (g.labels == (1, 2)) for g, v in zip(gradings, verdicts))
 
-        monkeypatch.setattr(pdclass.classifier, "bracket_generation", flipped)
+        monkeypatch.setattr(pdclass.classifier, "bracket_verdicts", flipped)
         result = survey_crosscheck(["C"], 2)
         assert [domain for domain, _ in result.failures] == ["C2/1,2"]
         assert "routes disagree with the parity class" in result.failures[0][1]
         assert len(result.rows) == 4
+
+    @pytest.mark.parametrize("fault", ["raises", "short"])
+    def test_batch_fault_fails_every_member_in_it(self, monkeypatch, fault):
+        # C2/2,1 is the only member of the class of C2/0,1 in the batch, and
+        # C2/1,2 of the class of C2/1,0; the references pass
+        original = pdclass.classifier.bracket_verdicts
+
+        def faulty(gradings):
+            if fault == "raises":
+                raise RuntimeError("forged batch")
+            return original(gradings)[1:]
+
+        monkeypatch.setattr(pdclass.classifier, "bracket_verdicts", faulty)
+        result = survey_crosscheck(["C"], 2)
+        assert [domain for domain, _ in result.failures] == ["C2/1,2", "C2/2,1"]
+        message = {
+            "raises": "RuntimeError: forged batch",
+            "short": "InternalInconsistency: 0 bracket verdicts for 1 gradings",
+        }[fault]
+        assert {text for _, text in result.failures} == {message}
+        assert [row.labels for row in result.rows] == [(0, 1), (1, 0), (1, 1)]
