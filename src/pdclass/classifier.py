@@ -280,15 +280,23 @@ def verify_simple_noncompact_decomposition(g: HodgeGrading) -> bool:
     return True
 
 
-def classify(g: HodgeGrading) -> DomainReport:
-    """Run all three criteria, demand agreement, and assemble the report."""
+def classify(g: HodgeGrading, generates: bool | None = None) -> DomainReport:
+    """Run all three criteria, demand agreement, and assemble the report.
+
+    A caller that already holds the bracket verdict, as the survey does from
+    :func:`bracket_verdicts`, passes it as ``generates``: the other two
+    routes must agree with it, and the report's ``closure_trace`` is empty.
+    """
     from .structures import hermitian_splitting
 
     classical, pair = is_classical_definitional(g)
     # the cone route as in cone_criterion, keeping the system for the report
     system = grading_cone_system(g)
     decision = decide_cone(system)
-    generates, trace = bracket_generation(g)
+    if generates is None:
+        generates, trace = bracket_generation(g)
+    else:
+        trace = ()
     verdicts = {
         "definitional": classical,
         "cone": not decision.trivial,

@@ -13,15 +13,15 @@ by parity class.  A root is compact exactly when its grade is even, so the
 compact and noncompact positives depend only on which labels equal 1 (the
 Hodge-parity split of Griffiths and Schmid), and so does everything built
 from them alone: the definitional route, the cone system, its decision and
-certificate, the lattice point, ``m0`` and the Hermitian type.  One grading
-per class runs :func:`check_instance` in full.  Every grading builds its own
-root sets.  The bracket route also reads the fiber roots, which vary within
-a class, so every other member must reach the class verdict on it: one
-call of :func:`classifier.bracket_verdicts` per class decides all of them,
-by a bit-sliced closure unrelated to :func:`classifier.bracket_generation`.
-Each member then runs the structures checks when non-classical and
-Hermitian, since the isotropy depends on the 0/2 choice.  So all three
-routes run once per distinct cone system.
+certificate, the lattice point, ``m0`` and the Hermitian type.  Every grading
+builds its own root sets.  The bracket route also reads the fiber roots,
+which vary within a class, so one call of :func:`classifier.bracket_verdicts`
+per class decides it for every member, by a bit-sliced closure unrelated to
+:func:`classifier.bracket_generation`.  One grading per class then runs
+:func:`check_instance` with its batch verdict, and every other member must
+reach the class verdict on its own.  Each member runs the structures checks
+when non-classical and Hermitian, since the isotropy depends on the 0/2
+choice.  So all three routes run once per distinct cone system.
 """
 from __future__ import annotations
 
@@ -196,13 +196,16 @@ def _structures_checks(g) -> None:
     positive_system_of(g, ns.structure)
 
 
-def check_instance(g: HodgeGrading, radius: int = DEFAULT_RADIUS) -> SurveyRow:
+def check_instance(
+    g: HodgeGrading, radius: int = DEFAULT_RADIUS, generates: bool | None = None
+) -> SurveyRow:
     """Classify one grading and cross-check every route against the others:
     ``classify``, the lattice scan on the cone system the cone route decided
-    on, and the structures checks when non-classical and Hermitian.  The
-    survey runs it on each grading of a parity class up to the first one
-    that passes."""
-    report = classify(g)
+    on, and the structures checks when non-classical and Hermitian.  A
+    bracket verdict ``generates`` the caller already holds, as the survey
+    does from its class batch, goes to ``classify`` in place of the tuple
+    closure."""
+    report = classify(g, generates)
     point = lattice_cone_search(report.cone_system, radius)
     if point is not None and not report.classical:
         raise InternalInconsistency(
@@ -240,15 +243,15 @@ def _survey_class(
 ) -> list[tuple[SurveyRow | None, tuple[str, str] | None]]:
     """(row, failure) per member of one parity class, in the members' order.
 
-    Each member's grading is built once, inside its own failure capture.
-    Members run ``check_instance`` until one passes.  Every later member
-    must show that one's compact and noncompact positives as exact tuples,
-    which fixes all that the definitional route and ``m0`` read.  Those
-    that do go through one ``classifier.bracket_verdicts`` call, and each
-    then runs ``_check_member`` against the passing row.  A member that
-    fails before the batch is left out of it, and an exception from the
-    batch fails every member in it, so one fault neither spreads an
-    unchecked verdict nor hides a failure.
+    Each member's grading is built once, inside its own failure capture, and
+    must show the compact and noncompact positives of the first grading
+    built as exact tuples, which fixes all that the definitional route and
+    ``m0`` read.  Those that do go through one ``classifier.bracket_verdicts``
+    call.  Then, in order, they run ``check_instance`` with their verdict
+    until one passes, and every later one runs ``_check_member`` against
+    the passing row.  A member that fails before the batch is left out of
+    it, and an exception from the batch fails every member in it, so one
+    fault neither spreads an unchecked verdict nor hides a failure.
     """
     outcomes: list = [None] * len(members)
 
@@ -256,21 +259,16 @@ def _survey_class(
         failure = domain_text(*members[position]), f"{type(exc).__name__}: {exc}"
         outcomes[position] = None, failure
 
-    reference = None
+    split = None
     batch = []
     for position, (type_label, rank, labels) in enumerate(members):
         try:
             g = make_grading(build_root_system(type_label, rank), labels)
-            split = g.compact_positive, g.noncompact_positive
-            if reference is None:
-                # looked up at call time: the span tracer wraps check_instance
-                row = check_instance(g, radius)
-                reference = split, row
-                outcomes[position] = row, None
-            elif split != reference[0]:
+            if split is None:
+                split = g.compact_positive, g.noncompact_positive
+            elif (g.compact_positive, g.noncompact_positive) != split:
                 raise InternalInconsistency("root split differs from its parity class")
-            else:
-                batch.append((position, g))
+            batch.append((position, g))
         except Exception as exc:  # noqa: BLE001 - failures are data here
             fail(position, exc)
     if not batch:
@@ -285,9 +283,15 @@ def _survey_class(
         for position, _ in batch:
             fail(position, exc)
         return outcomes
+    reference = None
     for (position, g), generates in zip(batch, verdicts):
         try:
-            outcomes[position] = _check_member(g, generates, reference[1]), None
+            if reference is None:
+                # looked up at call time: the span tracer wraps check_instance
+                row = reference = check_instance(g, radius, generates)
+            else:
+                row = _check_member(g, generates, reference)
+            outcomes[position] = row, None
         except Exception as exc:  # noqa: BLE001 - failures are data here
             fail(position, exc)
     return outcomes
@@ -336,15 +340,15 @@ def survey_crosscheck(
     """Run every sweep grading through all routes, one parity class at a
     time; tabulate and collect failures rather than raising.
 
-    Per class, the gradings in sweep order run ``check_instance`` until one
-    passes.  Every later one must show the same compact and noncompact
-    positives, and its bracket verdict, decided for the whole class by one
-    ``classifier.bracket_verdicts`` call, must reach the class verdict; its
-    row takes the verdict, ``m0`` and Hermitian type from the class (see
-    ``_survey_class``).  The class table lives for one call.  ``jobs`` only
-    spreads the class tasks over threads; rows merge back into sweep order,
-    so the result is the same for any job count.  ``check_sweep`` runs
-    before any grading is built.
+    Per class, every grading must show the same compact and noncompact
+    positives, and one ``classifier.bracket_verdicts`` call decides the
+    bracket route for all of them.  In sweep order they run
+    ``check_instance`` with that verdict until one passes; every later one
+    must reach the class verdict, and its row takes the verdict, ``m0`` and
+    Hermitian type from the class (see ``_survey_class``).  The class table
+    lives for one call.  ``jobs`` only spreads the class tasks over threads;
+    rows merge back into sweep order, so the result is the same for any job
+    count.  ``check_sweep`` runs before any grading is built.
     """
     check_sweep(types, max_rank, radius, jobs)
     instances = sweep_instances(types, max_rank)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import ast
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import compress, product
 from pathlib import Path
@@ -28,7 +28,7 @@ from pdclass.classifier import (
     verify_compact_from_noncompact,
     verify_simple_noncompact_decomposition,
 )
-from pdclass.errors import PreconditionClassical
+from pdclass.errors import InternalInconsistency, PreconditionClassical
 from pdclass.grading import make_grading
 from pdclass.rootsys import build_root_system
 
@@ -454,8 +454,8 @@ class TestClassify:
 
     def test_batch_shares_nothing_with_the_tuple_closure(self):
         # the batch and the function that builds its table read no root table
-        # and use none of bracket_generation's helpers, so the survey's member
-        # check and its class representative's closure cannot fail the same way
+        # and use none of bracket_generation's helpers, so the survey's bracket
+        # route and the one classify runs on its own cannot fail the same way
         path = Path(pdclass.__file__).parent / "classifier.py"
         tree = ast.parse(path.read_text(encoding="utf-8"))
         functions = {
@@ -529,6 +529,38 @@ class TestClassify:
     def test_domain_text_format(self):
         report = classify(make_grading(build_root_system("A", 3), (1, 0, 2)))
         assert report.domain_text == "A3/1,0,2"
+
+
+def assert_held_verdict_agrees(g):
+    """``classify(g, generates)`` with the batch verdict reports what
+    ``classify(g)`` does, but for the empty closure trace; the flipped
+    verdict is a route disagreement."""
+    (generates,) = bracket_verdicts([g])
+    full, held = classify(g), classify(g, generates)
+    assert held.closure_trace == ()
+    for field in fields(full):
+        if field.name == "closure_trace":
+            continue
+        a, b = getattr(full, field.name), getattr(held, field.name)
+        if is_dataclass(a):
+            a, b = vars(a), vars(b)
+        assert a == b, field.name
+    with pytest.raises(InternalInconsistency, match="criteria disagree"):
+        classify(g, not generates)
+
+
+class TestClassifyWithHeldVerdict:
+    @pytest.mark.parametrize("type_label,rank", SWEEP_SYSTEMS)
+    def test_every_sweep_grading(self, type_label, rank):
+        rs = build_root_system(type_label, rank)
+        for labels in sweep_label_vectors(rank):
+            assert_held_verdict_agrees(make_grading(rs, labels))
+
+    @pytest.mark.parametrize(
+        "type_label,rank,labels", [s for s in EXCEPTIONAL_SAMPLE if s[1] == 6]
+    )
+    def test_e6_sample(self, type_label, rank, labels):
+        assert_held_verdict_agrees(make_grading(build_root_system(type_label, rank), labels))
 
 
 class TestDynkinSymmetry:

@@ -373,6 +373,19 @@ class TestSurveyCommand:
             "9bce93b903072ac3a96f4aca303041b641a3e22b237ec4fddb17e54de11fccff"
         )
 
+    @pytest.mark.skipif(
+        os.environ.get("PDCLASS_SLOW") != "1", reason="slow; set PDCLASS_SLOW=1 to run"
+    )
+    def test_exceptional_rank_eight_text_pinned(self, capsys):
+        # every E6, E7 and E8 grading, byte for byte
+        code, out, _ = run_cli(capsys, "survey", "--types", "E", "--max-rank", "8")
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 542435
+        assert hashlib.sha256(data).hexdigest() == (
+            "bbb6b52ee817975943e8c8b17e5b557d0ed44a0cdac22bd747e75d1ad2f5c062"
+        )
+
     def test_text_lists_a_failure(self, capsys, monkeypatch):
         # C2/1,2 is the second member of the class of C2/1,0, and its
         # bracket verdict comes from the class batch

@@ -375,6 +375,9 @@ REFERENCE_SAMPLE = [
     ("E", 6, (2, 0, 1, 0, 2, 1)),
     ("E", 7, (0, 0, 0, 0, 0, 0, 1)),
     ("E", 7, (0, 2, 1, 0, 0, 1, 2)),
+    # 120 normals each
+    ("E", 8, (1, 0, 0, 0, 0, 0, 0, 1)),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
 ]
 
 _entry = st.one_of(
@@ -480,6 +483,12 @@ if "routes disagree with the parity class" not in failures[0][1]:
     raise SystemExit(f"a forged bracket verdict gave {failures[0][1]}")
 pdclass.classifier.bracket_verdicts = bracket_verdicts
 c2 = parse_domain("C2/1,1")
+# a held bracket verdict that the other routes contradict
+try:
+    pdclass.classifier.classify(c2, False)
+    raise SystemExit("a flipped bracket verdict left classify")
+except InternalInconsistency:
+    pass
 pdclass.classifier.sign_violations = lambda g, weight: -1
 try:
     curvature_signature(c2, (1, 0))

@@ -377,9 +377,10 @@ class TestSurvey:
 
 
 class TestParityClasses:
-    """The survey decides the cone and runs the definitional route and the
-    tuple bracket closure once per parity class (which labels equal 1), and
-    decides every other member's bracket route in one batch per class."""
+    """The survey decides the cone and runs the definitional route once per
+    parity class (which labels equal 1), and decides the bracket route of
+    every member, the first included, in one batch per class; it never runs
+    the tuple closure."""
 
     def test_work_per_class_and_per_grading_on_the_sweep(self, monkeypatch):
         names = (
@@ -400,26 +401,24 @@ class TestParityClasses:
         assert len(result.rows) == 403
         assert len(calls["decide"]) == len(calls["lattice"]) == 109
         assert len(calls["definitional"]) == 109
-        # the class references run the tuple closure, the other members one
-        # batch per class that has more than one member
-        assert len(calls["bracket"]) == 109
+        # one batch per class, every member in it in sweep order, the class
+        # reference included, and no tuple closure at all
+        assert calls["bracket"] == []
         classes = {}
         for type_label, rank, labels in sweep_instances(SWEEP_FAMILIES, SWEEP_MAX_RANK):
             key = type_label, rank, tuple(c == 1 for c in labels)
             classes.setdefault(key, []).append((type_label, rank, labels))
+        assert len(classes) == 109
         assert [
             [(g.root_system.type_label, g.root_system.rank, g.labels) for g in gradings]
             for (gradings,) in calls["batch"]
-        ] == [members[1:] for members in classes.values() if len(members) > 1]
+        ] == list(classes.values())
         batched = [g for (gradings,) in calls["batch"] for g in gradings]
-        assert len(batched) == 294
-        # each grading built exactly once
+        assert len(batched) == 403
+        # each grading built exactly once, and each built grading batched
         built = {(rs.type_label, rs.rank, tuple(labels)) for rs, labels in calls["grading"]}
         assert len(calls["grading"]) == len(built) == 403
-        graded = {
-            (g.root_system.type_label, g.root_system.rank, g.labels)
-            for g in [g for (g,) in calls["bracket"]] + batched
-        }
+        graded = {(g.root_system.type_label, g.root_system.rank, g.labels) for g in batched}
         assert graded == built
         # the structures checks on every non-classical Hermitian grading
         assert len(calls["structures"]) == sum(
@@ -472,31 +471,39 @@ class TestParityClasses:
         self, monkeypatch, jobs
     ):
         # the class of A3/0,1,0: the first member fails, the second passes
-        # check_instance, and the other two are checked against the second
+        # check_instance, and the other two are checked against the second;
+        # each gets its verdict from the one class batch
         members = [(0, 1, 0), (0, 1, 2), (2, 1, 0), (2, 1, 2)]
         checked, batches, compared = [], [], []
         original = pdclass.oracle.check_instance
+        verdicts = pdclass.classifier.bracket_verdicts
 
-        def failing(g, radius):
-            checked.append(g.labels)
+        def failing(g, radius, generates):
+            checked.append((g.labels, radius, generates))
             if g.labels == (0, 1, 0):
                 raise RuntimeError("forged fault")
-            return original(g, radius)
+            return original(g, radius, generates)
 
         monkeypatch.setattr(pdclass.oracle, "check_instance", failing)
         counting(monkeypatch, pdclass.classifier, "bracket_verdicts", batches)
         counting(monkeypatch, pdclass.oracle, "_check_member", compared)
         result = survey_crosscheck(["A"], 3, jobs=jobs)
         assert result.failures == (("A3/0,1,0", "RuntimeError: forged fault"),)
-        assert [labels for labels in checked if labels in members] == members[:2]
-        # neither the failed member nor the reference enters the batch
+        # the failed member and the reference sit in the batch with the rest
         class_batches = [
             [g.labels for g in gradings]
             for (gradings,) in batches
             if gradings[0].root_system.rank == 3 and gradings[0].labels in members
         ]
-        assert class_batches == [members[2:]]
-        assert [g.labels for g, _, _ in compared if g.labels in members] == members[2:]
+        assert class_batches == [members]
+        generates = verdicts([grading_of("A", 3, labels) for labels in members])
+        assert generates == (False,) * 4
+        assert [entry for entry in checked if entry[0] in members] == [
+            (labels, 3, False) for labels in members[:2]
+        ]
+        assert [
+            (g.labels, verdict) for g, verdict, _ in compared if g.labels in members
+        ] == [(labels, False) for labels in members[2:]]
         reference = {
             labels: row_fields(original(grading_of("A", 3, labels), 3))
             for labels in members[1:]
@@ -522,9 +529,11 @@ class TestParityClasses:
 
     @pytest.mark.parametrize("fault", ["raises", "short"])
     def test_batch_fault_fails_every_member_in_it(self, monkeypatch, fault):
-        # C2/2,1 is the only member of the class of C2/0,1 in the batch, and
-        # C2/1,2 of the class of C2/1,0; the references pass
+        # C2's three classes are C2/0,1 with C2/2,1, C2/1,0 with C2/1,2, and
+        # C2/1,1 alone; every grading, the first of each class included,
+        # sits in its class batch, so no grading is classified
         original = pdclass.classifier.bracket_verdicts
+        checked = []
 
         def faulty(gradings):
             if fault == "raises":
@@ -532,11 +541,15 @@ class TestParityClasses:
             return original(gradings)[1:]
 
         monkeypatch.setattr(pdclass.classifier, "bracket_verdicts", faulty)
+        counting(monkeypatch, pdclass.oracle, "check_instance", checked)
         result = survey_crosscheck(["C"], 2)
-        assert [domain for domain, _ in result.failures] == ["C2/1,2", "C2/2,1"]
-        message = {
-            "raises": "RuntimeError: forged batch",
-            "short": "InternalInconsistency: 0 bracket verdicts for 1 gradings",
+        short = "InternalInconsistency: {} bracket verdicts for {} gradings"
+        expected = {
+            "raises": ["RuntimeError: forged batch"] * 5,
+            "short": [short.format(1, 2)] * 2 + [short.format(0, 1)] + [short.format(1, 2)] * 2,
         }[fault]
-        assert {text for _, text in result.failures} == {message}
-        assert [row.labels for row in result.rows] == [(0, 1), (1, 0), (1, 1)]
+        assert result.failures == tuple(
+            zip(["C2/0,1", "C2/1,0", "C2/1,1", "C2/1,2", "C2/2,1"], expected)
+        )
+        assert result.rows == ()
+        assert checked == []
