@@ -9,7 +9,11 @@ positive multiple leaves the cone as it was.  Each direction is settled by a
 Phase-I simplex on a fraction-free tableau over those integer normals: every
 pivot is a Bareiss step over one common denominator, so no rational
 arithmetic happens inside a solve.  Entering and leaving choices follow the
-least-index rule, which makes every solve terminate.
+least-index rule, which makes every solve terminate.  A decision transposes
+the normals and sums them once; each direction's tableau and cost row start
+from copies of those rows and sums.  A feasible solve checks its
+combination on the basic normals with a nonzero coefficient, at most r of
+them, and every zero coefficient is one shared ``Fraction(0)``.
 
 Whichever way the decision goes, the proof object is checked in exact
 integers inside the solve and again before it leaves this module; a Farkas
@@ -31,15 +35,32 @@ from .errors import InternalInconsistency
 @dataclass(frozen=True, eq=False)
 class ConeSystem:
     """Integer normals of the inequalities; the cone is
-    {x : n . x >= 0 for all n}.  Build it with :func:`make_cone_system`."""
+    {x : n . x >= 0 for all n}.  Build it with :func:`make_cone_system`;
+    a system built by hand must already have integer normals of one
+    positive length, or ``ValueError`` is raised."""
 
     normals: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not self.normals:
+            raise ValueError("a cone system needs at least one normal")
+        dim = len(self.normals[0])
+        if dim == 0 or any(len(n) != dim for n in self.normals):
+            raise ValueError("normals must share a positive dimension")
+        if not all(type(x) is int for n in self.normals for x in n):
+            raise ValueError(
+                "normals must have int entries; make_cone_system scales rational ones"
+            )
 
     @property
     def dimension(self) -> int:
         return len(self.normals[0])
 
     def contains(self, point: Sequence[Fraction | int]) -> bool:
+        if len(point) != self.dimension:
+            raise ValueError(
+                f"the cone has {self.dimension} coordinates, the point {len(point)}"
+            )
         return all(sum(a * x for a, x in zip(n, point)) >= 0 for n in self.normals)
 
 
@@ -62,12 +83,8 @@ class ConeDecision:
 def make_cone_system(normals: Sequence[Sequence[Fraction | int]]) -> ConeSystem:
     """The cone of the given normals, each stored as an integer vector: the
     normal times the lcm of its denominators.  That is a positive multiple,
-    so the cone is the same set, and an integer normal keeps its values."""
-    if not normals:
-        raise ValueError("a cone system needs at least one normal")
-    dim = len(normals[0])
-    if dim == 0 or any(len(n) != dim for n in normals):
-        raise ValueError("normals must share a positive dimension")
+    so the cone is the same set, and an integer normal keeps its values.
+    ``ConeSystem`` rejects no normals and normals of unequal or zero length."""
     rows = []
     for normal in normals:
         entries = [x if isinstance(x, int) else Fraction(x) for x in normal]
@@ -94,15 +111,25 @@ def _coprime_integers(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _phase_one(
-    columns: Sequence[Sequence[int]], target: Sequence[int]
-) -> tuple[bool, tuple[Fraction, ...] | tuple[int, ...]]:
-    """Is ``target`` a nonnegative combination of the integer ``columns``?
+# every zero coefficient of a certificate combination; a Fraction is immutable
+_ZERO = Fraction(0)
 
-    Returns (True, coefficients) or (False, y) where the integer vector y
-    separates: y . column <= 0 for every column while y . target > 0.
-    Entering and leaving choices both use the least-index rule, so the solve
-    cannot cycle.
+
+def _phase_one(
+    normals: Sequence[Sequence[int]],
+    transposed: Sequence[Sequence[int]],
+    column_sums: Sequence[int],
+    k: int,
+    sign: int,
+) -> tuple[bool, tuple[Fraction, ...] | tuple[int, ...]]:
+    """Is ``sign * e_k`` a nonnegative combination of the integer ``normals``?
+
+    ``transposed`` holds the normals' coordinate rows and ``column_sums``
+    each normal's entry sum, both built once per decision by
+    :func:`decide_cone`.  Returns (True, coefficients) or (False, y) where
+    the integer vector y separates: y . normal <= 0 for every normal while
+    y . target > 0.  Entering and leaving choices both use the least-index
+    rule, so the solve cannot cycle.
 
     The tableau holds integers over one common denominator ``d``: row i
     stands for ``rows[i] / d``, and the last row is the phase-I reduced-cost
@@ -110,20 +137,25 @@ def _phase_one(
     ``(p * a - f * b) // d`` followed by ``d = p``; every entry is then a
     minor of the initial tableau, so each division is exact.
     """
-    m = len(columns)
-    r = len(target)
-    sigma = [1 if t >= 0 else -1 for t in target]
-    # columns m..m+r-1 are the artificials; the last entry is the right side
-    rows = [
-        [sigma[i] * col[i] for col in columns]
-        + [1 if k == i else 0 for k in range(r)]
-        + [abs(target[i])]
-        for i in range(r)
-    ]
-    # reduced costs against the artificial basis (artificial cost 1); the
-    # last entry is minus d times the objective value
-    cost = [-sum(row[j] for row in rows) for j in range(m)] + [0] * r
-    cost.append(-sum(row[-1] for row in rows))
+    m = len(normals)
+    r = len(transposed)
+    # row i: coordinate i of every normal (row k negated for -e_k, so the
+    # right side stays nonnegative), the artificials m..m+r-1, and the right
+    # side, which for |target| = e_k starts equal to artificial column k
+    rows = [list(row) + [0] * (r + 1) for row in transposed]
+    for i, row in enumerate(rows):
+        row[m + i] = 1
+    rows[k][-1] = 1
+    # reduced costs against the artificial basis (artificial cost 1): minus
+    # the column sums of the rows, so for -e_k the negated row k adds twice
+    # its entries back; the last entry is minus d times the objective value
+    if sign < 0:
+        rows[k][:m] = [-x for x in transposed[k]]
+        cost = [2 * a - s for a, s in zip(transposed[k], column_sums)]
+    else:
+        cost = [-s for s in column_sums]
+    cost += [0] * r
+    cost.append(-1)
     basis = [m + i for i in range(r)]
     d = 1
     while True:
@@ -157,39 +189,49 @@ def _phase_one(
         d = p
         basis[leave] = entering
     if cost[-1] == 0:
-        numerators = [0] * m
-        for i, b in enumerate(basis):
-            if b < m:
-                numerators[b] = rows[i][-1]
-        if any(x < 0 for x in numerators) or any(
-            sum(x * col[i] for x, col in zip(numerators, columns) if x) != d * t
-            for i, t in enumerate(target)
+        # the basic normals with a nonzero numerator, at most r of them
+        support = [
+            (b, rows[i][-1]) for i, b in enumerate(basis) if b < m and rows[i][-1]
+        ]
+        if any(x < 0 for _, x in support) or any(
+            sum(x * normals[b][i] for b, x in support) != (d * sign if i == k else 0)
+            for i in range(r)
         ):
             raise InternalInconsistency("phase-I combination fails its target")
-        return True, tuple(Fraction(x, d) for x in numerators)
-    y = tuple(sigma[i] * (d - cost[m + i]) for i in range(r))
-    if any(sum(a * b for a, b in zip(y, col)) > 0 for col in columns) or sum(
-        a * b for a, b in zip(y, target)
-    ) <= 0:
+        coefficients = [_ZERO] * m
+        for b, x in support:
+            coefficients[b] = Fraction(x, d)
+        return True, tuple(coefficients)
+    y = [d - cost[m + i] for i in range(r)]
+    y[k] *= sign
+    if any(sum(a * b for a, b in zip(y, n)) > 0 for n in normals) or sign * y[k] <= 0:
         raise InternalInconsistency("phase-I dual fails to separate the target")
-    return False, y
+    return False, tuple(y)
 
 
 def decide_cone(sys: ConeSystem) -> ConeDecision:
     """TRIVIAL with a full Farkas certificate, or NONTRIVIAL with a nonzero
     integer point of the cone; the first infeasible direction in the fixed
-    solve order determines the witness, so the answer is deterministic."""
+    solve order determines the witness, so the answer is deterministic.
+
+    The normals' coordinate rows and entry sums are built once here; each
+    of the 2r directions of :func:`signed_directions` then starts its
+    :func:`_phase_one` tableau from copies of them."""
+    normals = sys.normals
+    transposed = tuple(zip(*normals))
+    column_sums = [sum(n) for n in normals]
     combinations = []
-    for direction in signed_directions(sys.dimension):
-        feasible, payload = _phase_one(sys.normals, direction)
-        if not feasible:
-            witness = _coprime_integers([-y for y in payload])
-            if not (any(witness) and sys.contains(witness)):
-                raise InternalInconsistency(
-                    f"cone witness {witness} is zero or violates an inequality"
-                )
-            return ConeDecision(trivial=False, witness=witness, certificate=None)
-        combinations.append(payload)
+    for k in range(sys.dimension):
+        for sign in (1, -1):
+            feasible, payload = _phase_one(normals, transposed, column_sums, k, sign)
+            if not feasible:
+                witness = _coprime_integers([-y for y in payload])
+                if not (any(witness) and sys.contains(witness)):
+                    raise InternalInconsistency(
+                        f"cone witness {witness} is zero or violates an inequality"
+                    )
+                return ConeDecision(trivial=False, witness=witness, certificate=None)
+            combinations.append(payload)
     certificate = FarkasCertificate(
         dimension=sys.dimension, combinations=tuple(combinations)
     )

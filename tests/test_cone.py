@@ -16,16 +16,19 @@ from conftest import (
     SWEEP_SYSTEMS,
     cone_has_nonzero_point,
     reference_decide_cone,
+    reference_phase_one,
     sweep_label_vectors,
 )
 from pdclass.cone import (
     ConeSystem,
     FarkasCertificate,
+    _phase_one,
     decide_cone,
     make_cone_system,
     signed_directions,
     verify_certificate,
 )
+from pdclass.errors import InternalInconsistency
 from pdclass.grading import make_grading
 from pdclass.rootsys import build_root_system
 
@@ -140,6 +143,35 @@ class TestFrozenSystems:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             make_cone_system([()])
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            # unchecked, this one was decided NONTRIVIAL with witness (1,),
+            ((1,), (1, 0)),
+            # this one TRIVIAL, its third entry ignored,
+            ((1, 0), (-1, 0), (0, 1), (0, -1, 5)),
+            # and this one raised IndexError
+            ((1, 0), (1,)),
+            (),
+            ((), ()),
+        ],
+    )
+    def test_hand_built_system_checks_its_shape(self, normals):
+        with pytest.raises(ValueError, match="normal"):
+            ConeSystem(normals)
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(1), 0.5, "1"])
+    def test_hand_built_system_needs_int_entries(self, entry):
+        with pytest.raises(ValueError, match="int entries"):
+            ConeSystem(((1, 0), (0, entry)))
+
+    def test_contains_checks_the_point_length(self):
+        sys = make_cone_system([(1, 0), (0, 1)])
+        assert sys.contains((0, 1))
+        for point in [(1,), (1, 0, 0), (1, 0, -1)]:
+            with pytest.raises(ValueError, match="2 coordinates"):
+                sys.contains(point)
 
 
 class TestCertificates:
@@ -356,6 +388,120 @@ class TestEliminationOracleAgreement:
         if not decision.trivial:
             assert sys.contains(decision.witness)
         assert_matches_reference(sys)
+
+
+def sweep_class_systems():
+    """One cone system per parity class of the sweep, as a survey decides
+    them: the system depends only on which roots are compact, that is on
+    which labels equal 1."""
+    systems = {}
+    for type_label, rank in SWEEP_SYSTEMS:
+        for labels in sweep_label_vectors(rank):
+            key = type_label, rank, tuple(c == 1 for c in labels)
+            if key not in systems:
+                systems[key] = grading_cone(type_label, rank, labels)
+    return list(systems.values())
+
+
+def tableau_inputs(normals):
+    """What ``decide_cone`` builds once per decision for ``_phase_one``."""
+    return tuple(zip(*normals)), [sum(n) for n in normals]
+
+
+def assert_directions_match_reference(normals):
+    transposed, column_sums = tableau_inputs(normals)
+    columns = [tuple(Fraction(x) for x in n) for n in normals]
+    for index, direction in enumerate(signed_directions(len(normals[0]))):
+        k, sign = index // 2, (1, -1)[index % 2]
+        feasible, payload = _phase_one(normals, transposed, column_sums, k, sign)
+        expected_feasible, expected = reference_phase_one(columns, direction)
+        assert feasible == expected_feasible, direction
+        if feasible:
+            assert payload == expected, direction
+            assert all(type(c) is Fraction for c in payload)
+        else:
+            # the integer dual is the reference's times the final common
+            # denominator, a positive integer
+            assert all(type(y) is int for y in payload)
+            scale = next(Fraction(y) / e for y, e in zip(payload, expected) if e)
+            assert scale > 0 and scale.denominator == 1, direction
+            assert payload == tuple(scale * e for e in expected), direction
+
+
+class TestPhaseOneTableau:
+    """``decide_cone`` builds each decision's rows and sums once and solves
+    every signed direction from copies of them; pivots, witnesses and
+    certificates are the reference Fraction simplex's."""
+
+    def test_sweep_class_systems_match_reference(self):
+        systems = sweep_class_systems()
+        assert len(systems) == 109
+        for sys in systems:
+            assert_matches_reference(sys)
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            grading_cone("C", 2, (1, 1)).normals,
+            grading_cone("C", 2, (0, 1)).normals,
+            ((2, -2), (2, 0), (2, -4), (0, -2)),
+        ],
+        ids=["C2/1,1", "C2/0,1", "mixed-sign"],
+    )
+    def test_frozen_directions_match_reference(self, normals):
+        assert_directions_match_reference(normals)
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda dim: st.lists(
+                st.tuples(*[st.integers(-5, 5) for _ in range(dim)]),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_directions_match_reference(self, normals):
+        assert_directions_match_reference(make_cone_system(normals).normals)
+
+    @pytest.mark.parametrize("coordinate", range(3))
+    def test_combination_checked_in_every_coordinate(self, coordinate):
+        # the tableau solves the true normals; the check reads normals that
+        # differ from them in one coordinate, so some combination misses
+        normals = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+        transposed, column_sums = tableau_inputs(normals)
+        forged = tuple(
+            tuple(x + (i == coordinate) for i, x in enumerate(n)) for n in normals
+        )
+        with pytest.raises(InternalInconsistency, match="combination"):
+            for k in range(3):
+                for sign in (1, -1):
+                    _phase_one(forged, transposed, column_sums, k, sign)
+
+    def test_replay_and_scan_share_nothing_with_the_solve(self):
+        # the certificate replay and the lattice scan read only the system's
+        # normals, so neither can fail the way the solve they check does
+        package = Path(pdclass.__file__).parent
+        functions = {
+            node.name: node
+            for module in ("cone.py", "oracle.py")
+            for node in ast.parse((package / module).read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        solve_names = {"_phase_one", "_ZERO", "transposed", "column_sums"}
+        assert solve_names <= {
+            n.id
+            for name in ("decide_cone", "_phase_one")
+            for n in ast.walk(functions[name])
+            if isinstance(n, ast.Name)
+        }
+        for name in ("verify_certificate", "lattice_cone_search"):
+            used = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(functions[name])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            assert used & solve_names == set(), name
 
 
 # rank 4 and exceptional gradings, classical and not, for the slow reference
